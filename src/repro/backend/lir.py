@@ -153,6 +153,24 @@ class Block:
         self.instrs.append(instr)
         return instr
 
+    def midblock_branch(self) -> Optional[int]:
+        """Position of a conditional branch with live code after it.
+
+        ``None`` when every ``brf``/``brt`` that can execute is the
+        block's last instruction (code after an unconditional ``br`` is
+        dead).  Then both outcomes of the branch run the same
+        instructions, so every execution of the block has the same
+        instruction mix — the invariant the simulator's per-block
+        profiles rely on, checked as V217.
+        """
+        last = len(self.instrs) - 1
+        for pos, instr in enumerate(self.instrs):
+            if instr.op == "br":
+                return None
+            if instr.op in ("brf", "brt") and pos != last:
+                return pos
+        return None
+
     def successors(self, next_block: Optional[str]) -> List[str]:
         succs: List[str] = []
         for instr in self.instrs:

@@ -26,6 +26,12 @@ the same untransformed *reference interpreter* run:
    everything it applies, and preserve semantics bit-exactly.  Any
    violation is a ``scheduler-divergence``.
 
+Every source-level run goes through the tree-walking reference
+interpreter, once per randomized store
+(:func:`repro.sim.interp.run_program_batched`); the compiled oracle of
+:mod:`repro.sim.interp_compile` is not used here, because a fuzz program
+runs too few times to repay its compilation.
+
 Verdicts are deterministic functions of ``(case, OracleConfig)``: the
 randomized stores derive from the case seed via ``numpy``'s counter
 based generator, never from global state.
@@ -46,12 +52,7 @@ from repro.lang.ast_nodes import For, Program, Stmt, While
 from repro.lang.parser import parse_program
 from repro.lang.printer import to_source
 from repro.obs import get_tracer
-from repro.sim.interp import (
-    InterpError,
-    run_program,
-    run_program_batched,
-    state_equal,
-)
+from repro.sim.interp import InterpError, run_program_batched, state_equal
 from repro.transforms.errors import TransformError
 from repro.transforms.reversal import reverse
 from repro.transforms.unroll import unroll
@@ -77,7 +78,7 @@ FAILURE_CLASSES: Tuple[str, ...] = (
 # The V21x band is the cross-phase IR checker; its findings get their
 # own failure class so an IR bug is never misfiled as a scheduler bug.
 _IR_CODES = frozenset(
-    {"V210", "V211", "V212", "V213", "V214", "V215", "V216"}
+    {"V210", "V211", "V212", "V213", "V214", "V215", "V216", "V217"}
 )
 
 _OOB_TRAP = re.compile(r"index -?\d+ out of bounds .* of '(\w+)'")
@@ -94,10 +95,6 @@ class OracleConfig:
     backend: bool = True
     metamorphic: bool = True
     unroll_factor: int = 2
-    # One lockstep interpreter pass over all n_envs stores instead of
-    # n_envs separate passes; verdict-neutral (divergent control flow
-    # falls back to per-env replay automatically).
-    batch_envs: bool = True
     # Differential scheduler oracle (layer 5): re-run SLMS with the
     # exact branch-and-bound backend and compare against the heuristic.
     scheduler_oracle: bool = False
@@ -179,13 +176,6 @@ def make_env(case: FuzzCase, env_index: int = 0) -> Dict[str, Any]:
     return env
 
 
-def _copy_env(env: Dict[str, Any]) -> Dict[str, Any]:
-    return {
-        k: v.copy() if isinstance(v, np.ndarray) else v
-        for k, v in env.items()
-    }
-
-
 # ---------------------------------------------------------------------------
 # loop rewriting helpers (metamorphic variants)
 
@@ -243,44 +233,12 @@ def _walk_stmt(stmt: Stmt):
 # the oracle
 
 
-def _program_outcomes(
-    program: Program,
-    envs: List[Dict[str, Any]],
-    max_steps: int,
-    batch: bool,
-) -> List[Any]:
-    """Final state per env, or the :class:`InterpError` that env raises.
-
-    ``batch`` routes through :func:`run_program_batched` (one lockstep
-    pass over every env); either way the per-env outcomes are identical
-    to sequential :func:`run_program` runs.
-    """
-    if batch and len(envs) > 1:
-        return run_program_batched(
-            program.clone(),
-            [_copy_env(env) for env in envs],
-            max_steps=max_steps,
-        )
-    outcomes: List[Any] = []
-    for env in envs:
-        try:
-            outcomes.append(
-                run_program(
-                    program.clone(), _copy_env(env), max_steps=max_steps
-                )
-            )
-        except InterpError as exc:
-            outcomes.append(exc)
-    return outcomes
-
-
 def _reference_states(
     program: Program,
     envs: List[Dict[str, Any]],
     max_steps: int,
-    batch: bool = False,
 ) -> List[Dict[str, Any]]:
-    outcomes = _program_outcomes(program, envs, max_steps, batch)
+    outcomes = run_program_batched(program, envs, max_steps=max_steps)
     for out in outcomes:
         if isinstance(out, InterpError):
             raise out
@@ -361,9 +319,7 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
     # ---- reference runs ---------------------------------------------------
     outcome.checks_run.append("reference")
     try:
-        refs = _reference_states(
-            program, envs, config.max_steps, batch=config.batch_envs
-        )
+        refs = _reference_states(program, envs, config.max_steps)
     except InterpError as exc:
         trap = _OOB_TRAP.search(str(exc))
         if trap is not None:
@@ -405,8 +361,8 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
     )
 
     diffs: List[str] = []
-    outs = _program_outcomes(
-        result.program, envs, config.max_steps, config.batch_envs
+    outs = run_program_batched(
+        result.program, envs, max_steps=config.max_steps
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):
@@ -559,8 +515,8 @@ def _scheduler_check(
             "exact placement fails validation: " + ", ".join(exact_codes)
         )
 
-    outs = _program_outcomes(
-        exact.program, envs, config.max_steps, config.batch_envs
+    outs = run_program_batched(
+        exact.program, envs, max_steps=config.max_steps
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):
@@ -595,7 +551,8 @@ def _backend_check(
                 f"{label}: compile raised {type(exc).__name__}: {exc}",
             )
         # Static LIR soundness before dynamic execution: opcodes,
-        # register files, arrays, constant addresses (V212-V216).
+        # register files, arrays, constant addresses, block-final
+        # conditional branches (V212-V217).
         ir_errors = [
             d
             for d in check_module(
@@ -615,7 +572,7 @@ def _backend_check(
                 run = execute(
                     compiled.module,
                     machine,
-                    env=_copy_env(env),
+                    env=env,
                     max_steps=config.max_steps,
                 )
             except Exception as exc:
@@ -642,8 +599,8 @@ def _run_variant(
         result = slms(variant, SLMSOptions())
     except Exception as exc:
         return f"{label}: slms raised {type(exc).__name__}: {exc}"
-    outs = _program_outcomes(
-        result.program, envs, config.max_steps, config.batch_envs
+    outs = run_program_batched(
+        result.program, envs, max_steps=config.max_steps
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):

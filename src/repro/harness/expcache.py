@@ -17,7 +17,7 @@ Two cooperating stores live here:
   ============  ====================================================
   ``transform``  setup source, kernel source, resolved SLMSOptions
   ``compile``    program source text, machine model, compiler preset
-  ``simulate``   LIR module fingerprint, machine model, accounting
+  ``simulate``   LIR module fingerprint, machine model
   ``verify``     base/SLMS source, options, new scalars, both final
                  simulated-state digests
   ============  ====================================================
@@ -36,7 +36,9 @@ everything at once.
 Full results are one JSON file each under
 ``<cache_dir>/<key[:2]>/<key>.json``; phase entries are pickles under
 ``<cache_dir>/phases/<tier>/<key[:2]>/<key>.pkl`` (sharded to keep
-directories small), all written atomically via rename.  The default
+directories small), all written synchronously and atomically via
+rename, so an entry ``put`` accepts is visible to every other instance
+and process as soon as ``put`` returns.  The default
 directory is ``~/.cache/slms/experiments``; override with the
 ``SLMS_CACHE_DIR`` environment variable or the ``cache_dir`` argument.
 All failures (unreadable entry, read-only filesystem) degrade to cache
@@ -45,15 +47,12 @@ misses — caching is an optimization, never a correctness dependency.
 
 from __future__ import annotations
 
-import atexit
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
-import queue
 import tempfile
-import threading
 from collections import OrderedDict
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
@@ -177,9 +176,7 @@ def compile_key(
     )
 
 
-def simulate_key(
-    module: Module, machine: MachineModel, accounting: str
-) -> str:
+def simulate_key(module: Module, machine: MachineModel) -> str:
     """The simulate tier reads the final LIR and the machine model."""
     return _digest(
         {
@@ -187,7 +184,6 @@ def simulate_key(
             "engine": ENGINE_VERSION,
             "module": module_fingerprint(module),
             "machine": _jsonable(machine),
-            "accounting": accounting,
             "env": None,
         }
     )
@@ -333,7 +329,7 @@ class ExperimentCache:
         totals = self.lifetime_counters()
         for name in self.COUNTER_NAMES:
             totals[name] += delta[name]
-        if not _write_json_atomic(self.dir, self._counters_path, totals):
+        if not _write_json_atomic(self._counters_path, totals):
             return
         self._flushed = dict(session)
 
@@ -395,8 +391,7 @@ class ExperimentCache:
         return True
 
     def put(self, key: str, result: "ExperimentResult") -> bool:
-        path = self._path(key)
-        return _write_json_atomic(path.parent, path, result.to_dict())
+        return _write_json_atomic(self._path(key), result.to_dict())
 
     # -- maintenance ---------------------------------------------------
     def entries(self) -> list:
@@ -449,15 +444,22 @@ class ExperimentCache:
         return removed
 
 
-def _write_json_atomic(parent: Path, path: Path, payload: Any) -> bool:
+def _write_json_atomic(path: Path, payload: Any) -> bool:
+    return _write_atomic(path, json.dumps(payload).encode("utf-8"))
+
+
+def _write_atomic(path: Path, data: bytes) -> bool:
+    """Write ``data`` to ``path`` through a temp file and a rename, so
+    readers see the old entry or the whole new one; ``False`` when the
+    cache directory is unwritable."""
     try:
-        parent.mkdir(parents=True, exist_ok=True)
+        path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
-            dir=parent, prefix=".tmp-", suffix=".json"
+            dir=path.parent, prefix=".tmp-", suffix=path.suffix
         )
         try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+            with os.fdopen(fd, "wb") as handle:
+                handle.write(data)
             os.replace(tmp, path)
         except BaseException:
             try:
@@ -503,11 +505,6 @@ class PhaseCache:
             tier: {"hits": 0, "misses": 0, "evictions": 0}
             for tier in self.TIERS
         }
-        # Disk writes run on a lazily started daemon thread (see
-        # :meth:`put`); ``drain`` is the barrier that makes them
-        # visible to on-disk readers.
-        self._write_queue: "queue.Queue[Tuple[Path, bytes]]" = queue.Queue()
-        self._writer: Optional[threading.Thread] = None
 
     @classmethod
     def shared(cls, cache_dir: Optional[str | Path] = None) -> "PhaseCache":
@@ -545,60 +542,25 @@ class PhaseCache:
         return value
 
     def put(self, tier: str, key: str, value: Any) -> bool:
-        """Store ``value``; the disk write completes asynchronously.
+        """Store ``value`` in the memory tier and on disk.
 
-        The value is pickled *here* (so later mutation by the caller
-        cannot corrupt the entry) and becomes visible to in-process
-        readers immediately through the memory tier; only the file I/O
-        (mkdir, temp file, atomic rename) is deferred to the writer
-        thread.  :meth:`drain` — called by :meth:`stats`,
-        :meth:`clear` and at interpreter exit — is the barrier that
-        guarantees the entry is on disk.
+        The value is pickled *here*, so later mutation by the caller
+        cannot corrupt the entry, and the file is on disk when ``put``
+        returns.  ``False`` when the value cannot be pickled or the
+        cache directory is unwritable (a later ``get`` then misses on
+        disk).
         """
         self._remember((tier, key), value)
         try:
             data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError):
             return False
-        self._enqueue_write(self._path(tier, key), data)
-        return True
-
-    def _enqueue_write(self, path: Path, data: bytes) -> None:
-        if self._writer is None or not self._writer.is_alive():
-            self._writer = threading.Thread(
-                target=self._write_loop, daemon=True, name="slms-cache-writer"
-            )
-            self._writer.start()
-            atexit.register(self.drain)
-        self._write_queue.put((path, data))
-
-    def _write_loop(self) -> None:
-        while True:
-            path, data = self._write_queue.get()
-            try:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                fd, tmp = tempfile.mkstemp(
-                    dir=path.parent, prefix=".tmp-", suffix=".pkl"
-                )
-                try:
-                    with os.fdopen(fd, "wb") as handle:
-                        handle.write(data)
-                    os.replace(tmp, path)
-                except BaseException:
-                    try:
-                        os.unlink(tmp)
-                    except OSError:
-                        pass
-                    raise
-            except OSError:
-                pass  # read-only cache dir etc.: degrade to a miss
-            finally:
-                self._write_queue.task_done()
+        return _write_atomic(self._path(tier, key), data)
 
     def drain(self) -> None:
-        """Block until every enqueued disk write has completed."""
-        if self._writer is not None and self._writer.is_alive():
-            self._write_queue.join()
+        """No-op: :meth:`put` writes synchronously, so every accepted
+        entry is already on disk.  Kept for callers that wait for
+        writes before reading the directory from another process."""
 
     def _remember(self, mem_key: Tuple[str, str], value: Any) -> None:
         self._memory[mem_key] = value
@@ -658,7 +620,7 @@ class PhaseCache:
                 totals[tier][name] += (
                     session[tier][name] - self._flushed[tier][name]
                 )
-        if not _write_json_atomic(self.dir, self._counters_path, totals):
+        if not _write_json_atomic(self._counters_path, totals):
             return
         self._flushed = {tier: dict(rec) for tier, rec in session.items()}
 
@@ -676,7 +638,6 @@ class PhaseCache:
         return sorted(root.glob("[0-9a-f][0-9a-f]/*.pkl.corrupt"))
 
     def stats(self) -> Dict[str, Any]:
-        self.drain()
         lifetime = self.lifetime_counters()
         tiers: Dict[str, Any] = {}
         for tier in self.TIERS:
@@ -696,7 +657,6 @@ class PhaseCache:
 
     def clear(self, tiers: Optional[List[str]] = None) -> int:
         """Remove entries for ``tiers`` (default: all); returns count."""
-        self.drain()  # a write landing after the clear would resurrect
         removed = 0
         for tier in tiers if tiers is not None else self.TIERS:
             if tier not in self.TIERS:

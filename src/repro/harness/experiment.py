@@ -257,16 +257,16 @@ def _compile_memo(
     return compiled
 
 
-def _execute_memo(memo: Optional[_PhaseMemo], module, machine, accounting):
+def _execute_memo(memo: Optional[_PhaseMemo], module, machine):
     if memo is None:
-        return execute(module, machine, accounting=accounting)
-    key = simulate_key(module, machine, accounting)
+        return execute(module, machine)
+    key = simulate_key(module, machine)
     entry = memo.get("simulate", key)
     if entry is not None:
         memo.credit("simulate", entry["elapsed"])
         return entry["value"]
     t0 = time.perf_counter()
-    run = execute(module, machine, accounting=accounting)
+    run = execute(module, machine)
     memo.put(
         "simulate", key, {"value": run, "elapsed": time.perf_counter() - t0}
     )
@@ -279,7 +279,6 @@ def _kernel_cycles(
     machine: MachineModel,
     config: CompilerConfig,
     times: Optional[Dict[str, float]] = None,
-    accounting: str = "auto",
     memo: Optional[_PhaseMemo] = None,
     sources: Tuple[Optional[str], Optional[str]] = (None, None),
 ) -> tuple:
@@ -291,12 +290,8 @@ def _kernel_cycles(
         compiled_full = _compile_memo(memo, full_src, full_prog, machine, config)
     t1 = time.perf_counter()
     with tracer.span("phase.simulate"):
-        setup_run = _execute_memo(
-            memo, compiled_setup.module, machine, accounting
-        )
-        full_run = _execute_memo(
-            memo, compiled_full.module, machine, accounting
-        )
+        setup_run = _execute_memo(memo, compiled_setup.module, machine)
+        full_run = _execute_memo(memo, compiled_full.module, machine)
     t2 = time.perf_counter()
     if times is not None:
         times["compile"] = times.get("compile", 0.0) + (t1 - t0)

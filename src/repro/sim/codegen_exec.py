@@ -1,10 +1,11 @@
 """Exec-compiled LIR blocks: the simulator's code-generation fast path.
 
 The closure interpreter (:mod:`repro.sim.lir_interp`) pays a Python
-call per instruction plus observer calls per memory access.  For the
-blocks the static accounting path already requires (executed prefix
-invariant — see :func:`repro.sim.executor._profile_blocks`), the whole
-block can instead be generated as *one* Python function: instruction
+call per instruction plus observer calls per memory access.  Because
+every block's executed prefix is invariant (a conditional branch ends
+its block — IR check V217; see
+:func:`repro.sim.executor._profile_blocks`), the whole block can
+instead be generated as *one* Python function: instruction
 semantics, the direct-mapped cache probe and the timing/energy
 accounting are inlined into straight-line source that is ``compile``'d
 once per distinct block shape and ``exec``'d once per block instance.
@@ -17,19 +18,23 @@ runs the entire loop, keeping registers in Python locals across
 iterations and charging step/count/energy accounting per iteration
 exactly as the per-block dispatch loop would have.
 
-Strict equivalence with the closure path is load-bearing — experiment
-digests are pinned byte-identical — so the generated code mirrors the
-reference semantics operation for operation:
+This is the simulator's only execution path
+(:func:`repro.sim.executor.execute`).  Strict equivalence with the
+reference — the closure interpreter driven by the per-instruction
+observer — is load-bearing, since experiment digests are pinned
+byte-identical, so the generated code mirrors the reference semantics
+operation for operation:
 
 * registers live in locals, preloaded with ``R.get(name, 0)`` only
   when their first use is a read, and written back before every return
   point; a mid-block exception loses uncommitted locals, which is
   unobservable because callers discard state and metrics on error;
-* energy is a float whose accumulation order matters (addition is not
-  associative): the generated code threads a single energy cell through
-  the exact sequence the observers use — block energy at entry, then
-  ``energy_cache_miss + penalty * energy_per_cycle`` per miss in access
-  order;
+* energy is a float: the generated code threads a single energy cell
+  through one fixed sequence — the block's profiled energy at entry,
+  then ``energy_cache_miss + penalty * energy_per_cycle`` per miss in
+  access order.  The reference adds the same terms per instruction;
+  the sums agree exactly because every preset's energy coefficients
+  are integral picojoules;
 * the cache probe inlines :class:`~repro.sim.cache.DirectMappedCache`
   (``line = addr // line_bytes; slot = line % num_lines``) against a
   shared tags list, and addresses inline the
@@ -43,7 +48,7 @@ reference semantics operation for operation:
 * integer metrics (cycles, instructions, op mix, block executions) are
   derived after the run from per-block execution counts kept in
   first-execution order, so even dict insertion order matches the
-  observer path.
+  reference.
 
 Numeric constants — displacements, sizes, base addresses, cache
 geometry, energies, immediates, step budgets — are embedded in the
@@ -203,8 +208,8 @@ class _BlockCodegen:
         # locals (their pre-block value is dead).
         self.preloaded: List[str] = []
         self.has_probe = False
-        # Derived machine constants (folded exactly as the observers
-        # compute them).
+        # Derived machine constants (folded exactly as the observer
+        # computes them).
         cache = machine.cache
         self.word = cache.word_bytes
         self.line = cache.line_bytes
@@ -384,7 +389,8 @@ class _BlockCodegen:
                 terminator = ("br", instr.label)
                 break
             if op in ("brf", "brt"):
-                # _executed_prefix guarantees these are block-final.
+                # V217 (checked by _profile_blocks) makes these
+                # block-final.
                 terminator = (op, instr.label, self.reg(instr.srcs[0]))
                 break
             self.emit_instr(instr)
@@ -595,27 +601,21 @@ class ExecCompiledInterpreter(LIRInterpreter):
 
     Produces the final state via :meth:`run` and the accounting via
     :meth:`metrics`, both strictly equal to running the closure
-    interpreter under ``executor._TimingObserver``.
+    interpreter under ``executor._DynamicTimingObserver``.  Raises
+    ``ValueError`` (V217) for a module whose blocks' executed mix is
+    path-dependent.
     """
 
     def __init__(
         self,
         module: Module,
         machine: MachineModel,
-        profiles: Optional[Dict[str, _BlockProfile]] = None,
         env: Optional[Mapping[str, Any]] = None,
         functions: Optional[Mapping[str, Callable[..., Any]]] = None,
         max_steps: int = 50_000_000,
     ):
-        if profiles is None:
-            profiles = _profile_blocks(module, machine)
-        if profiles is None:
-            raise ValueError(
-                "module has path-dependent blocks; exec codegen requires "
-                "static accounting"
-            )
         self.machine = machine
-        self._profiles = profiles
+        self._profiles = _profile_blocks(module, machine)
         self._amap = AddressMap(
             module.arrays,
             word_bytes=machine.cache.word_bytes,
@@ -702,7 +702,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
         return self.state()
 
     def metrics(self) -> ExecutionMetrics:
-        """Assemble ExecutionMetrics equal to the observer path's.
+        """Assemble ExecutionMetrics equal to the reference observer's.
 
         Integer totals are linear in per-block execution counts; dict
         insertion order is reconstructed from first-execution order.

@@ -1,7 +1,7 @@
 """Cycle-level execution of compiled programs.
 
-Runs the functional LIR interpreter with an observer that charges time
-and energy as blocks execute:
+Runs a compiled module while charging time and energy as blocks
+execute:
 
 * each basic-block execution costs its list-scheduled length in cycles
   (``-O0`` code costs one cycle per instruction);
@@ -13,16 +13,16 @@ and energy as blocks execute:
 * energy accumulates per executed operation class, per cycle, and per
   miss, in the Sim-Panalyzer style used for the ARM figures.
 
-Accounting is *static per block* whenever possible: a block's executed
-instruction mix is invariant across executions (branches only transfer
-control at the end of the straight-line portion), so its instruction
-count, op-class mix and per-op energy are precomputed once and charged
-per block execution instead of via 10⁴–10⁵ per-instruction Python
-callbacks.  Memory/cache events stay dynamic — they depend on the
-addresses actually touched.  Blocks whose executed mix *does* vary (a
-conditional branch followed by more instructions) fall back to the
-per-instruction observer, which is also available explicitly via
-``execute(..., accounting="dynamic")`` as the reference implementation.
+Accounting is *static per block*: a block's executed instruction mix is
+invariant across executions (a conditional branch always ends its
+block — IR check V217), so its instruction count, op-class mix and
+per-op energy are precomputed once and charged per block execution.
+Memory/cache events stay dynamic — they depend on the addresses
+actually touched.  :func:`execute` runs the exec-compiled fast path
+(:mod:`repro.sim.codegen_exec`); the closure
+:class:`~repro.sim.lir_interp.LIRInterpreter` driven by
+:class:`_DynamicTimingObserver`, which charges every instruction as it
+runs, is the reference that tests pin the fast path against.
 
 The functional result is returned alongside the metrics so every
 benchmark doubles as a correctness check against the source
@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 from repro.backend.lir import Block, Instr, Module
 from repro.machines.model import MachineModel
 from repro.sim.cache import AddressMap, DirectMappedCache
-from repro.sim.lir_interp import LIRInterpreter, Observer
+from repro.sim.lir_interp import Observer
 
 
 @dataclass
@@ -100,24 +100,26 @@ def _block_cost(block: Block) -> int:
     return len(block.instrs)  # unscheduled: sequential issue
 
 
-def _executed_prefix(block: Block) -> Optional[List[Instr]]:
-    """The instructions every execution of ``block`` runs, or ``None``.
+def _executed_prefix(block: Block) -> List[Instr]:
+    """The instructions every execution of ``block`` runs.
 
-    Control only leaves a block through a branch; a *taken* branch stops
-    execution at that point.  Therefore the executed mix is invariant
-    when no conditional branch has instructions after it (both outcomes
-    then execute the same prefix), and anything after an unconditional
-    ``br`` is dead.  A conditional branch mid-block makes the mix
-    path-dependent → ``None`` (caller must account dynamically).
+    Control only leaves a block through a branch, and anything after an
+    unconditional ``br`` is dead.  Raises ``ValueError`` when a
+    conditional branch has instructions after it (IR check V217): the
+    executed mix would then depend on the path taken.
     """
+    pos = block.midblock_branch()
+    if pos is not None:
+        raise ValueError(
+            f"V217: block {block.name!r} has a conditional branch at "
+            f"[{pos}] before its last instruction; the simulator needs "
+            "every block's executed instruction mix to be invariant"
+        )
     executed: List[Instr] = []
-    last = len(block.instrs) - 1
-    for pos, instr in enumerate(block.instrs):
+    for instr in block.instrs:
         executed.append(instr)
         if instr.op == "br":
             break
-        if instr.op in ("brf", "brt") and pos != last:
-            return None
     return executed
 
 
@@ -133,14 +135,12 @@ class _BlockProfile:
 
 def _profile_blocks(
     module: Module, machine: MachineModel
-) -> Optional[Dict[str, _BlockProfile]]:
-    """Per-block static profiles, or ``None`` if any block's executed
-    instruction mix is path-dependent."""
+) -> Dict[str, _BlockProfile]:
+    """Per-block static profiles; ``ValueError`` (V217) if any block's
+    executed instruction mix is path-dependent."""
     profiles: Dict[str, _BlockProfile] = {}
     for name, block in module.blocks.items():
         executed = _executed_prefix(block)
-        if executed is None:
-            return None
         cost = _block_cost(block)
         op_counts: Dict[str, int] = {}
         op_energy = 0.0
@@ -157,15 +157,17 @@ def _profile_blocks(
     return profiles
 
 
-class _MemObserverMixin(Observer):
-    """Shared dynamic cache/memory accounting."""
+class _DynamicTimingObserver(Observer):
+    """Per-instruction accounting: the reference implementation.
 
-    machine: MachineModel
-    metrics: ExecutionMetrics
-    cache: DirectMappedCache
-    addresses: AddressMap
+    Driven by the closure :class:`~repro.sim.lir_interp.LIRInterpreter`,
+    it charges every block, instruction and memory access as it
+    happens.  :func:`execute` never selects it; tests pin the
+    exec-compiled fast path against it.  It shares no code with
+    :func:`_profile_blocks`, so it also catches a wrong block profile.
+    """
 
-    def _init_mem(self, module: Module, machine: MachineModel) -> None:
+    def __init__(self, module: Module, machine: MachineModel):
         self.machine = machine
         self.metrics = ExecutionMetrics()
         self.cache = DirectMappedCache(machine.cache)
@@ -174,6 +176,19 @@ class _MemObserverMixin(Observer):
             word_bytes=machine.cache.word_bytes,
             line_bytes=machine.cache.line_bytes,
         )
+
+    def on_block(self, block_name: str, module: Module) -> None:
+        cost = _block_cost(module.blocks[block_name])
+        self.metrics.cycles += cost
+        self.metrics.energy_pj += cost * self.machine.power.energy_per_cycle
+        counts = self.metrics.block_executions
+        counts[block_name] = counts.get(block_name, 0) + 1
+
+    def on_instr(self, instr: Instr) -> None:
+        self.metrics.instructions += 1
+        cls = instr.op_class()
+        self.metrics.op_counts[cls] = self.metrics.op_counts.get(cls, 0) + 1
+        self.metrics.energy_pj += self.machine.power.op_energy(cls)
 
     def on_mem(self, array: str, flat_index: int, is_store: bool) -> None:
         self.metrics.mem_accesses += 1
@@ -191,62 +206,6 @@ class _MemObserverMixin(Observer):
             )
 
 
-class _TimingObserver(_MemObserverMixin):
-    """Static per-block accounting (the fast path).
-
-    Requires every block's executed mix to be invariant — callers must
-    check :func:`_profile_blocks` first.  Deliberately does *not*
-    override ``on_instr``, so the interpreter skips per-instruction
-    callbacks entirely.
-    """
-
-    def __init__(
-        self,
-        module: Module,
-        machine: MachineModel,
-        profiles: Optional[Dict[str, _BlockProfile]] = None,
-    ):
-        self._init_mem(module, machine)
-        if profiles is None:
-            profiles = _profile_blocks(module, machine)
-        if profiles is None:
-            raise ValueError("module needs dynamic accounting")
-        self._profiles = profiles
-
-    def on_block(self, block_name: str, module: Module) -> None:
-        profile = self._profiles[block_name]
-        metrics = self.metrics
-        metrics.cycles += profile.cost
-        metrics.instructions += profile.instructions
-        metrics.energy_pj += profile.energy
-        op_counts = metrics.op_counts
-        for cls, count in profile.op_items:
-            op_counts[cls] = op_counts.get(cls, 0) + count
-        counts = metrics.block_executions
-        counts[block_name] = counts.get(block_name, 0) + 1
-
-
-class _DynamicTimingObserver(_MemObserverMixin):
-    """Per-instruction accounting — the reference implementation, and
-    the fallback for modules with path-dependent blocks."""
-
-    def __init__(self, module: Module, machine: MachineModel):
-        self._init_mem(module, machine)
-
-    def on_block(self, block_name: str, module: Module) -> None:
-        cost = _block_cost(module.blocks[block_name])
-        self.metrics.cycles += cost
-        self.metrics.energy_pj += cost * self.machine.power.energy_per_cycle
-        counts = self.metrics.block_executions
-        counts[block_name] = counts.get(block_name, 0) + 1
-
-    def on_instr(self, instr: Instr) -> None:
-        self.metrics.instructions += 1
-        cls = instr.op_class()
-        self.metrics.op_counts[cls] = self.metrics.op_counts.get(cls, 0) + 1
-        self.metrics.energy_pj += self.machine.power.op_energy(cls)
-
-
 @dataclass
 class ExecutionResult:
     state: Dict[str, Any]
@@ -259,74 +218,24 @@ def execute(
     env: Optional[Mapping[str, Any]] = None,
     functions: Optional[Mapping[str, Any]] = None,
     max_steps: int = 50_000_000,
-    accounting: str = "auto",
-    codegen: str = "auto",
 ) -> ExecutionResult:
     """Functionally execute ``module`` while accounting cycles/energy.
 
-    ``accounting`` selects the observer: ``"auto"`` uses static
-    per-block charging whenever the module allows it, ``"static"``
-    requires it, ``"dynamic"`` forces the per-instruction reference
-    path (primarily for cross-checking the fast path in tests).
-
-    ``codegen`` selects the interpreter for the static path:
-    ``"auto"`` exec-compiles each block into a fused Python function
-    (:mod:`repro.sim.codegen_exec`) whenever static accounting is in
-    effect, ``"exec"`` requires that, ``"closure"`` forces the
-    per-instruction closure interpreter + observer (the reference the
-    fused path is pinned against).  Dynamic accounting always uses the
-    closure path — the per-instruction observer needs real callbacks.
+    Runs the exec-compiled fast path
+    (:class:`~repro.sim.codegen_exec.ExecCompiledInterpreter`) over
+    static per-block profiles.  Raises ``ValueError`` naming V217 when
+    a block's executed instruction mix is path-dependent.
     """
-    if accounting not in ("auto", "static", "dynamic"):
-        raise ValueError(f"unknown accounting mode {accounting!r}")
-    if codegen not in ("auto", "exec", "closure"):
-        raise ValueError(f"unknown codegen mode {codegen!r}")
-    profiles = (
-        _profile_blocks(module, machine) if accounting != "dynamic" else None
-    )
-    if accounting == "static" and profiles is None:
-        raise ValueError("module has path-dependent blocks; use auto/dynamic")
-    if codegen == "exec" and profiles is None:
-        raise ValueError(
-            "exec codegen requires static accounting (path-invariant blocks)"
-        )
-    use_exec = profiles is not None and codegen in ("auto", "exec")
     from repro.obs import get_metrics, get_tracer
+    from repro.sim.codegen_exec import ExecCompiledInterpreter
 
     tracer = get_tracer()
-    with tracer.span(
-        "sim.execute",
-        machine=machine.name,
-        accounting="static" if profiles is not None else "dynamic",
-    ) as span:
-        if use_exec:
-            from repro.sim.codegen_exec import ExecCompiledInterpreter
-
-            exec_interp = ExecCompiledInterpreter(
-                module,
-                machine,
-                profiles=profiles,
-                env=env,
-                functions=functions,
-                max_steps=max_steps,
-            )
-            state = exec_interp.run()
-            metrics = exec_interp.metrics()
-        else:
-            observer: _MemObserverMixin = (
-                _TimingObserver(module, machine, profiles)
-                if profiles is not None
-                else _DynamicTimingObserver(module, machine)
-            )
-            interp = LIRInterpreter(
-                module,
-                env=env,
-                functions=functions,
-                observer=observer,
-                max_steps=max_steps,
-            )
-            state = interp.run()
-            metrics = observer.metrics
+    with tracer.span("sim.execute", machine=machine.name) as span:
+        interp = ExecCompiledInterpreter(
+            module, machine, env=env, functions=functions, max_steps=max_steps
+        )
+        state = interp.run()
+        metrics = interp.metrics()
         if tracer.enabled:
             span.set(
                 cycles=metrics.cycles,

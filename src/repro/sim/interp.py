@@ -17,6 +17,12 @@ deterministic semantics:
   of pure math builtins (``min``/``max``/``abs``/``sqrt``/…) is always
   available.
 * A step budget guards against non-terminating loops in generated tests.
+
+This tree-walker is the source IR's reference executor; its one fast
+path is the compiled oracle in :mod:`repro.sim.interp_compile`, which
+falls back here for anything outside its compilable subset.  The fuzz
+oracle runs every randomized store through :func:`run_program_batched`,
+one tree walk per store.
 """
 
 from __future__ import annotations
@@ -343,310 +349,24 @@ def run_program(
     return Interpreter(env=env, functions=functions, max_steps=max_steps).run(program)
 
 
-# ---------------------------------------------------------------------------
-# batched multi-environment interpretation
-
-
-class _LockstepDivergence(Exception):
-    """The environments stopped agreeing on control flow (or an env
-    raised) — the batched pass aborts and the caller replays per-env."""
-
-
-class _BudgetExceeded(Exception):
-    """All lockstepped environments exhausted the (shared) step budget."""
-
-    def __init__(self, message: str):
-        super().__init__(message)
-        self.message = message
-
-
-class _BatchedInterpreter:
-    """Lockstep interpreter over a vector of environments.
-
-    One AST walk serves every environment: each expression evaluates to
-    a list of per-env values, so node dispatch / traversal — the bulk of
-    the tree-walker's cost — is paid once instead of once per env.  The
-    batch is only valid while all envs take the same control path;
-    at the first data-dependent divergence (a mixed ``if``/loop/ternary
-    condition, a mixed short-circuit operand) or any per-env runtime
-    error the walk raises :class:`_LockstepDivergence` and the caller
-    falls back to classic per-env interpretation, which reproduces the
-    exact per-env states and error messages.  Only the step budget is
-    handled in-batch: ticks are shared under lockstep, so exhaustion is
-    uniform and the classic error text is emitted for every env.
-    """
-
-    def __init__(
-        self,
-        envs: List[Mapping[str, Any]],
-        functions: Optional[Mapping[str, Callable[..., Any]]],
-        max_steps: int,
-    ):
-        self.slots = [
-            Interpreter(env=env, functions=functions, max_steps=max_steps)
-            for env in envs
-        ]
-        self.n = len(envs)
-        self.max_steps = max_steps
-        self.steps = 0
-
-    # -- helpers -----------------------------------------------------------
-    def _tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.max_steps:
-            raise _BudgetExceeded(
-                f"step budget exceeded ({self.max_steps})"
-            )
-
-    def _uniform_truthy(self, expr: Expr) -> bool:
-        values = self.eval(expr)
-        first = values[0] != 0
-        for v in values[1:]:
-            if (v != 0) != first:
-                raise _LockstepDivergence()
-        return first
-
-    # -- expressions -------------------------------------------------------
-    def eval(self, expr: Expr) -> List[Any]:
-        if isinstance(expr, IntLit):
-            return [expr.value] * self.n
-        if isinstance(expr, FloatLit):
-            return [expr.value] * self.n
-        if isinstance(expr, Var):
-            name = expr.name
-            try:
-                return [slot.scalars[name] for slot in self.slots]
-            except KeyError:
-                raise _LockstepDivergence() from None
-        if isinstance(expr, ArrayRef):
-            return self._load(expr)
-        if isinstance(expr, BinOp):
-            return self._binop(expr)
-        if isinstance(expr, UnaryOp):
-            if expr.op == "!":
-                return [
-                    0 if v != 0 else 1 for v in self.eval(expr.operand)
-                ]
-            values = self.eval(expr.operand)
-            return [-v for v in values] if expr.op == "-" else values
-        if isinstance(expr, Ternary):
-            # Only the chosen arm may be evaluated (the other arm can
-            # legally trap), so the pick must be uniform.
-            if self._uniform_truthy(expr.cond):
-                return self.eval(expr.then)
-            return self.eval(expr.els)
-        if isinstance(expr, Call):
-            fn = self.slots[0].functions.get(expr.name)
-            if fn is None:
-                raise _LockstepDivergence()
-            arg_vecs = [self.eval(a) for a in expr.args]
-            try:
-                return [
-                    fn(*(vec[j] for vec in arg_vecs))
-                    for j in range(self.n)
-                ]
-            except Exception:
-                raise _LockstepDivergence() from None
-        raise _LockstepDivergence()
-
-    def _binop(self, expr: BinOp) -> List[Any]:
-        op = expr.op
-        if op in ("&&", "||"):
-            # Short-circuit: the right operand is only evaluated for
-            # envs the left doesn't decide, so it must be all-or-none.
-            want_right = op == "&&"
-            if self._uniform_truthy(expr.left) == want_right:
-                return [
-                    1 if v != 0 else 0 for v in self.eval(expr.right)
-                ]
-            return [0 if want_right else 1] * self.n
-        lefts = self.eval(expr.left)
-        rights = self.eval(expr.right)
-        if op == "<":
-            return [1 if a < b else 0 for a, b in zip(lefts, rights)]
-        if op == "<=":
-            return [1 if a <= b else 0 for a, b in zip(lefts, rights)]
-        if op == ">":
-            return [1 if a > b else 0 for a, b in zip(lefts, rights)]
-        if op == ">=":
-            return [1 if a >= b else 0 for a, b in zip(lefts, rights)]
-        if op == "==":
-            return [1 if a == b else 0 for a, b in zip(lefts, rights)]
-        if op == "!=":
-            return [1 if a != b else 0 for a, b in zip(lefts, rights)]
-        if op == "+":
-            return [a + b for a, b in zip(lefts, rights)]
-        if op == "-":
-            return [a - b for a, b in zip(lefts, rights)]
-        if op == "*":
-            return [a * b for a, b in zip(lefts, rights)]
-        if op in ("/", "%"):
-            out = []
-            for a, b in zip(lefts, rights):
-                both_int = isinstance(a, (bool, int, np.integer)) and (
-                    isinstance(b, (bool, int, np.integer))
-                )
-                try:
-                    if op == "/":
-                        if both_int:
-                            out.append(_c_div(int(a), int(b)))
-                        elif float(b) == 0.0:
-                            raise InterpError("float division by zero")
-                        else:
-                            out.append(a / b)
-                    else:
-                        if not both_int:
-                            raise InterpError("% requires integer operands")
-                        out.append(_c_mod(int(a), int(b)))
-                except InterpError:
-                    raise _LockstepDivergence() from None
-            return out
-        raise _LockstepDivergence()
-
-    def _resolve(self, ref: ArrayRef) -> List[tuple]:
-        idx_vecs = [self.eval(e) for e in ref.indices]
-        resolved = []
-        for j, slot in enumerate(self.slots):
-            array = slot.arrays.get(ref.name)
-            if array is None or len(ref.indices) != array.ndim:
-                raise _LockstepDivergence()
-            idx = tuple(int(vec[j]) for vec in idx_vecs)
-            for i, size in zip(idx, array.shape):
-                if not 0 <= i < size:
-                    raise _LockstepDivergence()
-            resolved.append((array, idx))
-        return resolved
-
-    def _load(self, ref: ArrayRef) -> List[Any]:
-        out = []
-        for array, idx in self._resolve(ref):
-            value = array[idx]
-            out.append(
-                int(value)
-                if np.issubdtype(array.dtype, np.integer)
-                else float(value)
-            )
-        return out
-
-    # -- statements --------------------------------------------------------
-    def exec_stmt(self, stmt: Stmt) -> None:
-        self._tick()
-        if isinstance(stmt, Decl):
-            self._declare(stmt)
-        elif isinstance(stmt, Assign):
-            values = self.eval(stmt.expanded_value())
-            if isinstance(stmt.target, Var):
-                name = stmt.target.name
-                for slot, value in zip(self.slots, values):
-                    slot._assign_scalar(name, value)
-            else:
-                for (array, idx), value in zip(
-                    self._resolve(stmt.target), values
-                ):
-                    array[idx] = value
-        elif isinstance(stmt, ExprStmt):
-            self.eval(stmt.expr)
-        elif isinstance(stmt, If):
-            branch = (
-                stmt.then if self._uniform_truthy(stmt.cond) else stmt.els
-            )
-            self.exec_block(branch)
-        elif isinstance(stmt, While):
-            while self._uniform_truthy(stmt.cond):
-                self._tick()
-                try:
-                    self.exec_block(stmt.body)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    continue
-        elif isinstance(stmt, For):
-            if stmt.init is not None:
-                self.exec_stmt(stmt.init)
-            while stmt.cond is None or self._uniform_truthy(stmt.cond):
-                self._tick()
-                try:
-                    self.exec_block(stmt.body)
-                except _BreakSignal:
-                    break
-                except _ContinueSignal:
-                    pass
-                if stmt.step is not None:
-                    self.exec_stmt(stmt.step)
-        elif isinstance(stmt, ParGroup):
-            self.exec_block(stmt.stmts)
-        elif isinstance(stmt, Break):
-            raise _BreakSignal()
-        elif isinstance(stmt, Continue):
-            raise _ContinueSignal()
-        else:
-            raise _LockstepDivergence()
-
-    def _declare(self, decl: Decl) -> None:
-        if decl.dims:
-            dtype = np.int64 if decl.type == "int" else np.float64
-            for slot in self.slots:
-                if decl.name not in slot.arrays:
-                    slot.arrays[decl.name] = np.zeros(decl.dims, dtype=dtype)
-                slot.types[decl.name] = decl.type
-            return
-        for slot in self.slots:
-            slot.types[decl.name] = decl.type
-        if decl.init is not None:
-            values = self.eval(decl.init)
-            for slot, value in zip(self.slots, values):
-                slot._assign_scalar(decl.name, value)
-        else:
-            for slot in self.slots:
-                if decl.name not in slot.scalars:
-                    slot.scalars[decl.name] = 0 if decl.type == "int" else 0.0
-
-    def exec_block(self, stmts) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
-
-    def run(self, program: Program) -> List[Dict[str, Any]]:
-        self.exec_block(program.body)
-        return [slot.state() for slot in self.slots]
-
-
 def run_program_batched(
     program: Program,
     envs: List[Mapping[str, Any]],
     functions: Optional[Mapping[str, Callable[..., Any]]] = None,
     max_steps: int = 2_000_000,
 ) -> List[Union[Dict[str, Any], InterpError]]:
-    """Interpret ``program`` once over a vector of initial stores.
+    """Interpret ``program`` once per initial store in ``envs``.
 
     Returns one outcome per env, in order: the final state dict, or the
-    :class:`InterpError` that env's run raises.  Outcomes are exactly
-    what per-env :func:`run_program` produces — the batched lockstep
-    pass is an optimization only, and any divergence (mixed control
-    flow, any runtime error) silently falls back to classic per-env
-    replay.  Non-:class:`InterpError` exceptions propagate from the
-    replay just as they would from :func:`run_program`.
+    :class:`InterpError` that env's run raises — exactly what per-env
+    :func:`run_program` produces.  Non-:class:`InterpError` exceptions
+    propagate just as they would from :func:`run_program`.
     """
-    if not envs:
-        return []
-    if len(envs) > 1:
-        batched = _BatchedInterpreter(envs, functions, max_steps)
-        try:
-            return list(batched.run(program.clone()))
-        except _BudgetExceeded as exc:
-            return [InterpError(exc.message) for _ in envs]
-        except (_LockstepDivergence, _BreakSignal, _ContinueSignal):
-            pass
     outcomes: List[Union[Dict[str, Any], InterpError]] = []
     for env in envs:
+        interp = Interpreter(env=env, functions=functions, max_steps=max_steps)
         try:
-            outcomes.append(
-                run_program(
-                    program.clone(),
-                    env,
-                    functions=functions,
-                    max_steps=max_steps,
-                )
-            )
+            outcomes.append(interp.run(program))
         except InterpError as exc:
             outcomes.append(exc)
     return outcomes

@@ -7,17 +7,20 @@ register allocation and scheduling must all leave final memory
 bit-identical.
 
 An :class:`Observer` receives block-execution and memory-access events;
-the cycle simulator (:mod:`repro.sim.executor`) plugs in there without
-duplicating the semantics.
+the cycle simulator's reference accounting
+(:class:`repro.sim.executor._DynamicTimingObserver`) plugs in there
+without duplicating the semantics.
 
 Performance: every instruction is pre-decoded into a bound closure at
 :class:`LIRInterpreter` construction — operand slots, immediates, array
 buffers and binop/unop callables are resolved exactly once, so the step
 loop is a plain ``for fn in ops: fn()`` with no per-instruction string
 dispatch.  The ``on_instr`` / ``on_mem`` observer hooks are only wired
-into the closures when the observer actually overrides them, which lets
-the cycle simulator do static per-block accounting (see
-:mod:`repro.sim.executor`) without paying a Python call per instruction.
+into the closures when the observer actually overrides them, so a
+plain functional run pays no Python call per instruction.  The
+simulator's fast path (:mod:`repro.sim.codegen_exec`) subclasses this
+interpreter and replaces each block's closures with one generated
+function.
 """
 
 from __future__ import annotations
@@ -43,10 +46,8 @@ class Observer:
     def on_instr(self, instr: Instr) -> None:
         """An instruction executed (for op-mix accounting).
 
-        Only delivered when the observer *overrides* this method; the
-        default executor replaces per-instruction callbacks with static
-        per-block profiles, so overriding costs a Python call per
-        executed instruction.
+        Only delivered when the observer *overrides* this method;
+        overriding costs a Python call per executed instruction.
         """
 
 

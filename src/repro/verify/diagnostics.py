@@ -72,6 +72,7 @@ DIAGNOSTIC_CODES: Dict[str, str] = {
     "V214": "LIR memory operation names an undeclared array",
     "V215": "LIR instruction operand shape is unsound for its opcode",
     "V216": "LIR constant address is outside the array's extent",
+    "V217": "LIR conditional branch is not the last instruction of its block",
     # -- dataflow lint (slms lint) -------------------------------------------
     "A301": "array subscript range is provably out of bounds",
     "A302": "array subscript cannot be proven in bounds",

@@ -14,12 +14,14 @@ than as a downstream miscompare:
   along the emitted prologue → kernel → epilogue order.  Scalars that
   existed in the input may be defined outside the fragment and are not
   judged.
-* **LIR** (:func:`check_module`, V212–V216) — opcodes and branch
+* **LIR** (:func:`check_module`, V212–V217) — opcodes and branch
   targets must be known, register operands must stay inside the virtual
   (``v``), physical (``r``) or scratch (``s``) files for the active
   machine, memory operations must name declared arrays, operand counts
-  must match opcode shapes, and constant addresses must land inside the
-  array extent.
+  must match opcode shapes, constant addresses must land inside the
+  array extent, and a conditional branch must end its block (the
+  simulator's per-block profiles need each block's executed
+  instruction mix to be invariant).
 
 :func:`check_result` bundles the source-level checks; it runs inside
 ``SLMSOptions(verify=True)`` right after the V2xx schedule validator.
@@ -53,7 +55,7 @@ from repro.lang.ast_nodes import (
     Var,
     While,
 )
-from repro.lang.visitors import defined_scalars, used_scalars, walk
+from repro.lang.visitors import defined_scalars, walk
 from repro.machines.model import MachineModel
 from repro.obs import get_metrics, get_tracer
 from repro.verify.diagnostics import Diagnostic, DiagnosticBag
@@ -315,7 +317,7 @@ def check_result(result, loop: For) -> List[Diagnostic]:
 
 
 # ---------------------------------------------------------------------------
-# LIR (V212 - V216)
+# LIR (V212 - V217)
 # ---------------------------------------------------------------------------
 
 
@@ -423,7 +425,7 @@ def _check_memory(
 def check_module(
     module: Module, machine: Optional[MachineModel] = None
 ) -> List[Diagnostic]:
-    """V212-V216 over a compiled module.  ``machine`` enables the
+    """V212-V217 over a compiled module.  ``machine`` enables the
     physical/scratch register-file checks (post-allocation modules)."""
     bag = DiagnosticBag()
     if module.entry not in module.blocks:
@@ -438,6 +440,13 @@ def check_module(
         for pos, instr in enumerate(block.instrs):
             _check_instr(
                 instr, module, machine, bag, f"{name}[{pos}]"
+            )
+        pos = block.midblock_branch()
+        if pos is not None:
+            bag.error(
+                "V217", None,
+                f"{name}[{pos}]: conditional branch "
+                f"{block.instrs[pos].op} before the end of its block",
             )
     tracer = get_tracer()
     if tracer.enabled:

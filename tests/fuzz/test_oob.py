@@ -106,7 +106,7 @@ class TestIRInvariantClass:
 
     def test_backend_layer_runs_module_check(self):
         """With the backend layer on, ``ir-invariant`` never fires on
-        healthy cases — the compiled modules satisfy V212-V216."""
+        healthy cases — the compiled modules satisfy V212-V217."""
         config = OracleConfig(metamorphic=False)
         for seed in range(8):
             outcome = run_case(generate_case(seed, "oob"), config)

@@ -130,20 +130,19 @@ class TestSchema:
             ExperimentResult.from_dict(payload)
 
 
-class TestAsyncWrites:
-    """Entries are pickled synchronously but written by a background
-    thread: in-process visibility is immediate (memory overlay), and
-    cross-process visibility is guaranteed once ``drain`` returns."""
+class TestWrites:
+    """Entries are pickled and written to disk inside ``put``: visible
+    in-process at once (memory overlay) and to any other instance on the
+    same directory as soon as ``put`` returns."""
 
     def test_put_is_immediately_visible_in_process(self, tmp_path):
         cache = PhaseCache(tmp_path)
         assert cache.put("transform", "k" * 64, {"x": 1})
         assert cache.get("transform", "k" * 64) == {"x": 1}
 
-    def test_drain_lands_entries_on_disk(self, tmp_path):
+    def test_put_lands_entry_on_disk(self, tmp_path):
         cache = PhaseCache(tmp_path)
         assert cache.put("compile", "a" * 64, [1, 2, 3])
-        cache.drain()
         # A fresh instance has no memory overlay: a hit proves the
         # file made it to disk.
         fresh = PhaseCache(tmp_path)
@@ -154,11 +153,10 @@ class TestAsyncWrites:
         value = {"metrics": [1, 2]}
         cache.put("simulate", "b" * 64, value)
         value["metrics"].append(3)  # caller reuses its object
-        cache.drain()
         fresh = PhaseCache(tmp_path)
         assert fresh.get("simulate", "b" * 64) == {"metrics": [1, 2]}
 
-    def test_clear_cannot_be_resurrected_by_pending_writes(self, tmp_path):
+    def test_clear_removes_every_written_entry(self, tmp_path):
         cache = PhaseCache(tmp_path)
         for i in range(32):
             cache.put("verify", f"{i:02d}" * 32, i)
@@ -167,7 +165,7 @@ class TestAsyncWrites:
         for i in range(32):
             assert fresh.get("verify", f"{i:02d}" * 32) is None
 
-    def test_stats_reflect_drained_writes(self, tmp_path):
+    def test_stats_count_written_entries(self, tmp_path):
         cache = PhaseCache(tmp_path)
         cache.put("transform", "c" * 64, "v")
         stats = cache.stats()

@@ -3,6 +3,8 @@ back silent, and seeded corruptions of each phase's output must be
 flagged with the right code — that is what makes the checker worth
 running inside ``SLMSOptions(verify=True)``."""
 
+import pytest
+
 from repro.backend.compiler import CompilerConfig, FinalCompiler
 from repro.core.names import NamePool, all_names
 from repro.core.pipeline import _collect_types, slms
@@ -10,6 +12,7 @@ from repro.core.slms import SLMSOptions, slms_for_loop
 from repro.lang.ast_nodes import Assign, For, ParGroup, Var
 from repro.lang.parser import parse_program
 from repro.machines.presets import itanium2
+from repro.sim.executor import execute
 from repro.verify.ir_check import (
     _introduced_scalars,
     check_module,
@@ -164,7 +167,7 @@ class TestKernelMutations:
 
 
 # ---------------------------------------------------------------------------
-# LIR checks (V212 - V216)
+# LIR checks (V212 - V217)
 # ---------------------------------------------------------------------------
 
 
@@ -251,6 +254,24 @@ class TestModule:
         diags = check_module(module, machine)
         assert any(d.code == "V216" and "outside extent" in d.message
                    for d in diags)
+
+    def test_midblock_conditional_branch(self):
+        """Moving a block-final ``brf`` up one slot makes the block's
+        executed mix path-dependent: V217 flags it, and the simulator
+        refuses the module instead of mis-charging it."""
+        module, machine = compiled_module()
+        name = next(
+            n for n in module.order
+            if len(module.blocks[n].instrs) >= 2
+            and module.blocks[n].instrs[-1].op == "brf"
+        )
+        instrs = module.blocks[name].instrs
+        instrs[-2], instrs[-1] = instrs[-1], instrs[-2]
+        diags = check_module(module, machine)
+        assert codes(diags) == ["V217"]
+        assert diags[0].message.startswith(f"{name}[{len(instrs) - 2}]")
+        with pytest.raises(ValueError, match="V217"):
+            execute(module, machine)
 
     def test_missing_entry_block(self):
         module, machine = compiled_module()
