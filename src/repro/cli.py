@@ -30,8 +30,9 @@ Subcommands
     and exits 1 instead of aborting the matrix.
 
 ``slms cache stats|clear``
-    Inspect or empty the experiment result cache (``stats`` also reports
-    lifetime hit/miss/evict counters from the cache's sidecar).
+    Inspect or empty the cache: ``stats`` lists every tier's entries and
+    lifetime hit/miss/eviction counters, ``clear --tiers`` empties the
+    named tiers.
 
 ``slms trace WORKLOAD``
     Run one workload comparison with the observability layer enabled
@@ -850,35 +851,22 @@ def _cmd_sched(args: argparse.Namespace) -> int:
 
 
 def _cmd_cache(args: argparse.Namespace) -> int:
-    from repro.harness.expcache import ExperimentCache, PhaseCache
+    from repro.harness.expcache import PhaseCache
 
-    cache = ExperimentCache(args.dir)
-    phases = PhaseCache(args.dir)
+    store = PhaseCache.shared(args.dir)
     if args.action == "stats":
-        stats = cache.stats()
-        lifetime = stats["lifetime"]
+        stats = store.stats()
         print(f"cache dir: {stats['dir']}")
-        print(f"entries:   {stats['entries']}")
-        print(f"size:      {stats['bytes']} bytes")
-        if stats["corrupt"]:
-            print(f"corrupt:   {stats['corrupt']} quarantined entr(ies)")
-        print(
-            "lifetime:  "
-            f"{lifetime['hits']} hit(s), {lifetime['misses']} miss(es), "
-            f"{lifetime['evictions']} eviction(s)"
-        )
-        pstats = phases.stats()
-        print("phase tiers:")
-        for tier in PhaseCache.TIERS:
-            rec = pstats["tiers"][tier]
+        for tier in store.TIERS:
+            rec = stats["tiers"][tier]
             life = rec["lifetime"]
             total = life["hits"] + life["misses"]
-            rate = f"{life['hits'] / total:6.1%}" if total else "     -"
+            rate = f"{life['hits'] / total:.1%}" if total else "-"
             line = (
                 f"  {tier:<10} {rec['entries']:5d} entr(ies) "
                 f"{rec['bytes']:>10d} bytes  "
                 f"lifetime {life['hits']} hit(s) / {life['misses']} "
-                f"miss(es) [{rate.strip()}]"
+                f"miss(es) [{rate}], {life['evictions']} eviction(s)"
             )
             if rec["corrupt"]:
                 line += f"  {rec['corrupt']} corrupt"
@@ -887,27 +875,13 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         tiers = (
             [t.strip() for t in args.tiers.split(",") if t.strip()]
             if args.tiers
-            else None
+            else list(store.TIERS)
         )
-        if tiers is not None:
-            bad = [
-                t for t in tiers if t != "full" and t not in PhaseCache.TIERS
-            ]
-            if bad:
-                valid = ", ".join(("full",) + PhaseCache.TIERS)
-                raise ValueError(
-                    f"unknown tier(s) {', '.join(bad)}; valid: {valid}"
-                )
-        if tiers is None or "full" in tiers:
-            removed = cache.clear()
-            print(f"removed {removed} cached result(s) from {cache.dir}")
-        phase_tiers = (
-            [t for t in tiers if t != "full"] if tiers is not None else None
+        removed = store.clear(tiers)
+        print(
+            f"removed {removed} entr(ies) [{', '.join(tiers)}] "
+            f"from {store.dir}"
         )
-        if phase_tiers is None or phase_tiers:
-            removed = phases.clear(phase_tiers)
-            cleared = ", ".join(phase_tiers or PhaseCache.TIERS)
-            print(f"removed {removed} phase entr(ies) [{cleared}]")
     return 0
 
 
@@ -1479,7 +1453,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_sbench.set_defaults(func=_cmd_serve_bench)
 
     p_cache = sub.add_parser(
-        "cache", help="experiment result cache maintenance"
+        "cache", help="cache maintenance (every tier)"
     )
     p_cache.add_argument("action", choices=["stats", "clear"])
     p_cache.add_argument("--dir", default=None,

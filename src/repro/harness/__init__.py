@@ -6,7 +6,8 @@ the paper's figures.
   speedup, energy and diagnostics;
 * :mod:`repro.harness.engine` — the evaluation engine: parallel
   experiment fan-out plus content-addressed result memoization;
-* :mod:`repro.harness.expcache` — the on-disk experiment cache;
+* :mod:`repro.harness.expcache` — the on-disk store: whole results
+  and each pipeline phase, in tiers;
 * :mod:`repro.harness.faults` — the fault-tolerance layer: error
   taxonomy, guarded dispatch (timeouts, retries, crash quarantine),
   checkpoint journal, and the deterministic fault-injection harness;

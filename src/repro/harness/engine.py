@@ -4,16 +4,20 @@ The paper's evaluation (§9) is a cross-product of workloads × machines ×
 compilers, re-run constantly while reproducing figures.  Four
 cooperating layers make that cheap and unkillable:
 
-1. the LIR interpreter's pre-decoded fast path and the executor's static
-   per-block accounting (:mod:`repro.sim.lir_interp`,
-   :mod:`repro.sim.executor`) cut per-experiment cost;
+1. LIR execution runs exec-compiled blocks and fused loop superblocks
+   (:mod:`repro.sim.codegen_exec`, driven by
+   :func:`repro.sim.executor.execute`), and the verify phase runs the
+   compiled source oracle (:mod:`repro.sim.interp_compile`), which cuts
+   per-experiment cost;
 2. this module fans independent experiments out over a process pool —
    experiments are deterministic pure functions of their spec, so
    results are collected back in submission order and are byte-identical
    to a serial run;
-3. an on-disk content-addressed cache (:mod:`repro.harness.expcache`)
-   memoizes each :class:`~repro.harness.experiment.ExperimentResult`,
-   so warm figure/sweep re-runs are near-instant;
+3. one on-disk content-addressed store (:mod:`repro.harness.expcache`)
+   memoizes each :class:`~repro.harness.experiment.ExperimentResult` in
+   its ``full`` tier and each pipeline phase in its own tier, so warm
+   figure/sweep re-runs are near-instant and partly changed ones re-run
+   only the phases whose inputs changed;
 4. the fault layer (:mod:`repro.harness.faults`) contains everything
    that goes wrong: a task that crashes its worker, hangs past the
    wall-clock limit, or raises comes back as a structured
@@ -168,10 +172,10 @@ class ExperimentSpec:
 class EngineStats:
     """What one :func:`run_experiments` call did and cost.
 
-    ``cache_hits``/``cache_misses``/``cache_evictions`` mirror the
-    :class:`~repro.harness.expcache.ExperimentCache` session counters
-    for the run (evictions also count corrupt entries quarantined on
-    read).  ``journal_hits`` are specs replayed from a resume journal;
+    ``cache_hits``/``cache_misses``/``cache_evictions`` count the
+    run's ``full``-tier lookups (evictions are corrupt entries
+    quarantined on read).  ``journal_hits`` are specs replayed from a
+    resume journal;
     ``failures``/``retries``/``quarantined``/``timeouts`` summarize the
     fault layer's activity (all zero on a clean run).
     """
@@ -277,7 +281,7 @@ def _run_spec(task: ExperimentSpec | _Task) -> ExperimentResult:
         else None
     )
     spec = task.spec
-    result = run_experiment(
+    return run_experiment(
         spec.workload,
         spec.machine,
         spec.compiler,
@@ -285,12 +289,6 @@ def _run_spec(task: ExperimentSpec | _Task) -> ExperimentResult:
         verify=spec.verify,
         phase_cache=phase_cache,
     )
-    if phase_cache is not None:
-        # Best effort: pooled workers die without a parent-side flush,
-        # so persist tier counters as tasks complete (concurrent
-        # read-modify-writes may undercount; see PhaseCache).
-        phase_cache.flush_counters()
-    return result
 
 
 def _resolve_workers(requested: Optional[int], n_tasks: int) -> int:
@@ -454,13 +452,15 @@ def run_experiments(
     t_start = time.perf_counter()
     stats = EngineStats(experiments=len(specs))
     cache = ExperimentCache(base.cache_dir) if base.use_cache else None
-    # Per-phase memoization rides the same directory as the full cache.
-    # Traced runs bypass it: tier hits would skip the phase spans that
-    # make traces worker-count-invariant (same reason `slms trace`
-    # bypasses the full cache).
+    store = cache.store if cache is not None else None
+    evicted_before = store.evictions["full"] if store is not None else 0
+    # The phase tiers live in the same store.  Traced runs bypass them:
+    # tier hits would skip the phase spans that make traces
+    # worker-count-invariant (same reason `slms trace` bypasses the
+    # full tier).
     phase_cache_dir = (
-        str(cache.dir)
-        if cache is not None and not get_tracer().enabled
+        str(store.root)
+        if store is not None and not get_tracer().enabled
         else None
     )
     plan = (
@@ -499,6 +499,7 @@ def run_experiments(
                 t_lookup = time.perf_counter()
                 hit = cache.get(key) if cache is not None else None
                 if hit is not None:
+                    stats.cache_hits += 1
                     # A hit's stored phase times describe the *original*
                     # computation; report what this run actually did
                     # (the lookup) under phase_times and fold everything
@@ -528,7 +529,6 @@ def run_experiments(
                             machine=spec.machine.name,
                             compiler=spec.compiler.name,
                         )
-            stats.cache_hits = cache.hits if cache is not None else 0
             stats.cache_misses = len(pending)
 
             n_workers = _resolve_workers(base.workers, len(pending))
@@ -557,7 +557,7 @@ def run_experiments(
                     if out.ok and cache is not None and key is not None:
                         cache.put(key, out.value)
                         if pos in corrupt_at:
-                            cache.corrupt(key)
+                            store.corrupt("full", key)
                     if journal is not None and key is not None:
                         if out.ok:
                             journal.record(key, "ok", out.value.to_dict())
@@ -567,12 +567,10 @@ def run_experiments(
                             )
                     completions += 1
                     if abort_at is not None and completions >= abort_at:
-                        # Simulated SIGKILL mid-sweep: flush durable state
+                        # Simulated SIGKILL mid-sweep: flush the journal
                         # and die without cleanup, like the real thing.
                         if journal is not None:
                             journal.flush()
-                        if cache is not None:
-                            cache.flush_counters()
                         os._exit(137)
 
                 labels = [spec.label() for _i, spec, _k in pending]
@@ -633,14 +631,24 @@ def run_experiments(
                     )
             stats.phase_totals = totals
             stats.cached_phase_totals = cached_totals
-            if cache is not None:
-                stats.cache_evictions = cache.evictions
-                cache.flush_counters()
-            if phase_cache_dir is not None:
-                # Serial in-process runs accumulate tier traffic on the
-                # parent's shared instance; flush it alongside the full
-                # cache's counters (no-op when workers did the running).
-                PhaseCache.shared(phase_cache_dir).flush_counters()
+            if store is not None:
+                stats.cache_evictions = (
+                    store.evictions["full"] - evicted_before
+                )
+                # One sidecar update per run, from the spec-order
+                # counts, so pooled runs add up exactly.
+                traffic = {
+                    "full": {
+                        "hits": stats.cache_hits,
+                        "misses": stats.cache_misses,
+                    }
+                }
+                for tier in PHASE_TIERS:
+                    traffic[tier] = {
+                        "hits": stats.tier_hits.get(tier, 0),
+                        "misses": stats.tier_misses.get(tier, 0),
+                    }
+                store.add_counters(traffic)
             stats.wall_s = time.perf_counter() - t_start
 
             # Engine-side metrics: coarse, once per run.  Fault counters

@@ -1,53 +1,55 @@
-"""Content-addressed on-disk caches for experiment results.
+"""The content-addressed on-disk store for experiments and their phases.
 
-Two cooperating stores live here:
+One store, :class:`PhaseCache`, holds every entry in named tiers, each
+keyed on exactly what it reads:
 
-* :class:`ExperimentCache` — the *full-result* cache.  Experiments are
-  pure functions of their inputs: the simulator is deterministic, so an
-  :class:`~repro.harness.experiment.ExperimentResult` is fully
-  determined by the kernel source, the SLMS options, the machine model,
-  the final-compiler preset and the engine version.  The cache key is
-  the SHA-256 of exactly that tuple (canonical JSON, sorted keys).
-* :class:`PhaseCache` — the *tiered per-phase* memo store.  Each
-  pipeline phase is keyed on what it actually reads, so a sweep over
-  five machines stops re-running machine-independent phases five times:
+============  ====================================================
+tier          key inputs
+============  ====================================================
+``full``       workload sources, machine model, compiler preset,
+               SLMS options, verify flag (the whole experiment)
+``transform``  setup source, kernel source, resolved SLMSOptions
+``compile``    program source text, machine model, compiler preset
+``simulate``   LIR module fingerprint, machine model
+``verify``     base/SLMS source, options, new scalars, both final
+               simulated-state digests
+============  ====================================================
 
-  ============  ====================================================
-  tier          key inputs
-  ============  ====================================================
-  ``transform``  setup source, kernel source, resolved SLMSOptions
-  ``compile``    program source text, machine model, compiler preset
-  ``simulate``   LIR module fingerprint, machine model
-  ``verify``     base/SLMS source, options, new scalars, both final
-                 simulated-state digests
-  ============  ====================================================
-
-  The invalidation lattice falls out of the keys: editing a workload's
-  source invalidates ``transform`` and everything downstream; editing a
-  machine model invalidates only ``compile``/``simulate`` (and the full
-  tier) while ``transform``/``verify`` keep hitting.  ``verify`` keys
-  on the *simulated states* rather than the machine, so a machine edit
-  that doesn't change results re-verifies for free.
+Experiments are pure functions of their inputs (the simulator is
+deterministic), so a ``full`` hit replays a whole
+:class:`~repro.harness.experiment.ExperimentResult`;
+:class:`ExperimentCache` is that tier's codec.  The other tiers let a
+partly changed sweep skip the unchanged phases: editing a workload's
+source invalidates ``transform`` and everything downstream; editing a
+machine model invalidates only ``compile``/``simulate`` (and ``full``)
+while ``transform``/``verify`` keep hitting.  ``verify`` keys on the
+*simulated states* rather than the machine, so a machine edit that
+doesn't change results re-verifies for free.
 
 Every key includes :data:`ENGINE_VERSION`; bumping it (required
 whenever accounting or transform semantics change results) invalidates
 everything at once.
 
-Full results are one JSON file each under
-``<cache_dir>/<key[:2]>/<key>.json``; phase entries are pickles under
-``<cache_dir>/phases/<tier>/<key[:2]>/<key>.pkl`` (sharded to keep
-directories small), all written synchronously and atomically via
-rename, so an entry ``put`` accepts is visible to every other instance
-and process as soon as ``put`` returns.  The default
-directory is ``~/.cache/slms/experiments``; override with the
-``SLMS_CACHE_DIR`` environment variable or the ``cache_dir`` argument.
-All failures (unreadable entry, read-only filesystem) degrade to cache
-misses — caching is an optimization, never a correctness dependency.
+Entries are pickles under ``<cache_dir>/phases/<tier>/<key[:2]>/<key>.pkl``
+(sharded to keep directories small), each behind :data:`ENTRY_HEADER`,
+written synchronously and atomically via rename, so an entry ``put``
+accepts is visible to every other instance and process as soon as
+``put`` returns.  The default directory is ``~/.cache/slms/experiments``;
+override with the ``SLMS_CACHE_DIR`` environment variable or the
+``cache_dir`` argument.  All failures (unreadable entry, read-only
+filesystem) degrade to cache misses — caching is an optimization, never
+a correctness dependency.
+
+The cache directory is a trust boundary: loading a pickle runs code.
+The header check stops version skew and stray files from being
+unpickled, not a hostile writer — point ``SLMS_CACHE_DIR`` only at a
+directory that no one else can write.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import fcntl
 import hashlib
 import json
 import os
@@ -55,7 +57,17 @@ import pickle
 import tempfile
 from collections import OrderedDict
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    BinaryIO,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.backend.compiler import CompilerConfig
 from repro.backend.lir import Module
@@ -74,6 +86,11 @@ ENGINE_VERSION = "3"
 
 # The per-phase memo tiers, in pipeline order.
 PHASE_TIERS = ("transform", "compile", "simulate", "verify")
+
+# First bytes of every entry file.  ``PhaseCache.get`` unpickles only
+# behind an exact match, so an entry from another engine version, from
+# before headers, or a foreign file is quarantined, never loaded.
+ENTRY_HEADER = b"slms-cache/1 engine=" + ENGINE_VERSION.encode() + b"\n"
 
 
 def default_cache_dir() -> Path:
@@ -272,239 +289,41 @@ def state_digest(state: Dict[str, Any]) -> str:
     return h.hexdigest()
 
 
-class ExperimentCache:
-    """Get/put of :class:`ExperimentResult` keyed by content hash.
-
-    Counts hits/misses/evictions per instance (session counters) and —
-    best effort — accumulates them into a ``counters.json`` sidecar in
-    the cache directory via :meth:`flush_counters`, so ``slms cache
-    stats`` can report lifetime traffic, not just on-disk entry counts.
-    """
-
-    COUNTER_NAMES = ("hits", "misses", "evictions")
-
-    def __init__(self, cache_dir: Optional[str | Path] = None):
-        self.dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._flushed = {name: 0 for name in self.COUNTER_NAMES}
-
-    def _path(self, key: str) -> Path:
-        return self.dir / key[:2] / f"{key}.json"
-
-    # -- lifetime counters ---------------------------------------------
-    @property
-    def _counters_path(self) -> Path:
-        return self.dir / "counters.json"
-
-    def lifetime_counters(self) -> Dict[str, int]:
-        """Accumulated counters from the sidecar (zeros when absent)."""
-        try:
-            with open(self._counters_path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-            return {
-                name: int(data.get(name, 0)) for name in self.COUNTER_NAMES
-            }
-        except (OSError, ValueError, TypeError):
-            return {name: 0 for name in self.COUNTER_NAMES}
-
-    def flush_counters(self) -> None:
-        """Add this session's not-yet-flushed traffic to the sidecar.
-
-        Idempotent across repeated calls; all I/O failures are silently
-        ignored (counters are observability, never correctness).
-        """
-        session = {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-        }
-        delta = {
-            name: session[name] - self._flushed[name]
-            for name in self.COUNTER_NAMES
-        }
-        if not any(delta.values()):
-            return
-        totals = self.lifetime_counters()
-        for name in self.COUNTER_NAMES:
-            totals[name] += delta[name]
-        if not _write_json_atomic(self._counters_path, totals):
-            return
-        self._flushed = dict(session)
-
-    def get(self, key: str) -> Optional["ExperimentResult"]:
-        from repro.harness.experiment import ExperimentResult
-
-        path = self._path(key)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except OSError:
-            self.misses += 1
-            return None
-        except ValueError:
-            # Undecodable entry (torn write, bit rot, injected chaos):
-            # quarantine it so every future run gets a clean miss
-            # instead of re-parsing the same bad file forever.
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        try:
-            result = ExperimentResult.from_dict(data)
-        except (ValueError, KeyError, TypeError):
-            self._quarantine(path)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
-
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt entry aside (``*.json.corrupt``) and count it.
-
-        Quarantined files are invisible to :meth:`entries` (different
-        suffix) but stay on disk for post-mortems; the rename counts as
-        an eviction in the session and ``counters.json`` totals shown
-        by ``slms cache stats``.
-        """
-        try:
-            path.rename(path.with_name(path.name + ".corrupt"))
-        except OSError:
-            return
-        self.evictions += 1
-        self.flush_counters()
-
-    def corrupt(self, key: str) -> bool:
-        """Overwrite an entry with garbage (fault-injection helper).
-
-        Used by the chaos suite (``corrupt-cache`` rules in a
-        :class:`~repro.harness.faults.FaultPlan`) to prove the
-        quarantine path; returns whether the entry existed.
-        """
-        path = self._path(key)
-        if not path.is_file():
-            return False
-        try:
-            path.write_text("{corrupt cache entry", encoding="utf-8")
-        except OSError:
-            return False
-        return True
-
-    def put(self, key: str, result: "ExperimentResult") -> bool:
-        return _write_json_atomic(self._path(key), result.to_dict())
-
-    # -- maintenance ---------------------------------------------------
-    def entries(self) -> list:
-        if not self.dir.is_dir():
-            return []
-        # Shard directories are two hex characters; the tighter glob
-        # keeps the phase store and sidecars out of the entry count.
-        return sorted(self.dir.glob("[0-9a-f][0-9a-f]/*.json"))
-
-    def corrupt_entries(self) -> list:
-        if not self.dir.is_dir():
-            return []
-        return sorted(self.dir.glob("[0-9a-f][0-9a-f]/*.json.corrupt"))
-
-    def stats(self) -> Dict[str, Any]:
-        entries = self.entries()
-        return {
-            "dir": str(self.dir),
-            "entries": len(entries),
-            "bytes": sum(p.stat().st_size for p in entries),
-            "corrupt": len(self.corrupt_entries()),
-            "lifetime": self.lifetime_counters(),
-            "session": {
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            },
-        }
-
-    def evict(self, key: str) -> bool:
-        """Remove one entry; returns whether it existed."""
-        try:
-            self._path(key).unlink()
-        except OSError:
-            return False
-        self.evictions += 1
-        return True
-
-    def clear(self) -> int:
-        """Remove every entry; returns how many were deleted."""
-        removed = 0
-        for path in self.entries():
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        self.evictions += removed
-        self.flush_counters()
-        return removed
-
-
-def _write_json_atomic(path: Path, payload: Any) -> bool:
-    return _write_atomic(path, json.dumps(payload).encode("utf-8"))
-
-
-def _write_atomic(path: Path, data: bytes) -> bool:
-    """Write ``data`` to ``path`` through a temp file and a rename, so
-    readers see the old entry or the whole new one; ``False`` when the
-    cache directory is unwritable."""
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=path.suffix
-        )
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                handle.write(data)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-    except OSError:
-        return False  # read-only cache dir etc.: silently skip
-    return True
-
-
 class PhaseCache:
-    """Tiered per-phase memo store (transform/compile/simulate/verify).
+    """The one on-disk store: pickled entries in named tiers.
 
-    Values are arbitrary picklable payloads (IR objects, compiled
-    programs, execution results) stored per tier under
-    ``<cache_dir>/phases/<tier>/<key[:2]>/<key>.pkl``, fronted by a
-    process-local LRU so a serial sweep never deserializes twice.
-    Session hit/miss/eviction counters are kept per tier and flushed —
-    best effort — into a ``phases/counters.json`` sidecar (concurrent
-    pooled workers may undercount it; the counters are observability,
-    never correctness).
+    Values are arbitrary picklable payloads (experiment results, IR
+    objects, compiled programs, execution results) stored per tier
+    under ``<cache_dir>/phases/<tier>/<key[:2]>/<key>.pkl``, fronted by
+    a process-local LRU so a serial sweep never deserializes twice.
+    Every file starts with :data:`ENTRY_HEADER`, and :meth:`get` checks
+    it before unpickling anything.
+
+    Lifetime traffic (tier → hits/misses/evictions) lives in one
+    ``phases/counters.json`` sidecar, changed only by
+    :meth:`add_counters`.  The store counts its own evictions
+    (quarantines and clears) and adds them when they happen; hits and
+    misses are counted by the engine, which adds each run's totals once.
 
     Use :meth:`shared` to get the per-process instance for a cache
     directory: pooled engine workers construct it once per process and
     keep the in-memory tier warm across tasks.
     """
 
-    TIERS = PHASE_TIERS
+    # Whole experiment results, then the phases.
+    TIERS = ("full",) + PHASE_TIERS
+    COUNTERS = ("hits", "misses", "evictions")
     MEMORY_ENTRIES = 512
 
     _shared: Dict[str, "PhaseCache"] = {}
 
     def __init__(self, cache_dir: Optional[str | Path] = None):
-        root = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.dir = root / "phases"
-        self.hits = {tier: 0 for tier in self.TIERS}
-        self.misses = {tier: 0 for tier in self.TIERS}
+        self.root = Path(cache_dir) if cache_dir else default_cache_dir()
+        self.dir = self.root / "phases"
+        # Entries this instance quarantined or cleared, per tier (the
+        # engine reports the full tier's as EngineStats.cache_evictions).
         self.evictions = {tier: 0 for tier in self.TIERS}
         self._memory: "OrderedDict[Tuple[str, str], Any]" = OrderedDict()
-        self._flushed = {
-            tier: {"hits": 0, "misses": 0, "evictions": 0}
-            for tier in self.TIERS
-        }
 
     @classmethod
     def shared(cls, cache_dir: Optional[str | Path] = None) -> "PhaseCache":
@@ -522,23 +341,19 @@ class PhaseCache:
         mem_key = (tier, key)
         if mem_key in self._memory:
             self._memory.move_to_end(mem_key)
-            self.hits[tier] += 1
             return self._memory[mem_key]
-        path = self._path(tier, key)
         try:
-            with open(path, "rb") as handle:
-                value = pickle.load(handle)
+            with open(self._path(tier, key), "rb") as handle:
+                value = _read_entry(handle)
         except OSError:
-            self.misses[tier] += 1
             return None
         except Exception:
-            # Torn write / bit rot / version skew: quarantine so future
-            # runs miss cleanly instead of re-reading the bad pickle.
-            self._quarantine(tier, path)
-            self.misses[tier] += 1
+            # No matching header (an entry from before headers or from
+            # another engine version, a foreign file) or a torn pickle:
+            # quarantine it so future runs miss cleanly.
+            self.quarantine(tier, key)
             return None
         self._remember(mem_key, value)
-        self.hits[tier] += 1
         return value
 
     def put(self, tier: str, key: str, value: Any) -> bool:
@@ -555,7 +370,7 @@ class PhaseCache:
             data = pickle.dumps(value, pickle.HIGHEST_PROTOCOL)
         except (pickle.PicklingError, TypeError):
             return False
-        return _write_atomic(self._path(tier, key), data)
+        return _write_atomic(self._path(tier, key), ENTRY_HEADER, data)
 
     def drain(self) -> None:
         """No-op: :meth:`put` writes synchronously, so every accepted
@@ -568,12 +383,38 @@ class PhaseCache:
         while len(self._memory) > self.MEMORY_ENTRIES:
             self._memory.popitem(last=False)
 
-    def _quarantine(self, tier: str, path: Path) -> None:
+    def quarantine(self, tier: str, key: str) -> None:
+        """Move an entry aside (``*.pkl.corrupt``) and count it.
+
+        Quarantined files are invisible to :meth:`get` and
+        :meth:`entries` but stay on disk for post-mortems; the rename
+        counts as an eviction.
+        """
+        self._memory.pop((tier, key), None)
+        path = self._path(tier, key)
         try:
             path.rename(path.with_name(path.name + ".corrupt"))
         except OSError:
             return
         self.evictions[tier] += 1
+        self.add_counters({tier: {"evictions": 1}})
+
+    def corrupt(self, tier: str, key: str) -> bool:
+        """Overwrite an entry with garbage (fault-injection helper).
+
+        Used by the chaos suite (``corrupt-cache`` rules in a
+        :class:`~repro.harness.faults.FaultPlan`) to prove the
+        quarantine path; returns whether the entry existed.
+        """
+        self._memory.pop((tier, key), None)
+        path = self._path(tier, key)
+        if not path.is_file():
+            return False
+        try:
+            path.write_bytes(b"corrupt cache entry")
+        except OSError:
+            return False
+        return True
 
     # -- lifetime counters ---------------------------------------------
     @property
@@ -581,61 +422,53 @@ class PhaseCache:
         return self.dir / "counters.json"
 
     def lifetime_counters(self) -> Dict[str, Dict[str, int]]:
+        """Per-tier totals from the sidecar (zeros when absent)."""
         try:
             with open(self._counters_path, "r", encoding="utf-8") as handle:
                 data = json.load(handle)
             return {
                 tier: {
                     name: int(data.get(tier, {}).get(name, 0))
-                    for name in ("hits", "misses", "evictions")
+                    for name in self.COUNTERS
                 }
                 for tier in self.TIERS
             }
         except (OSError, ValueError, TypeError, AttributeError):
             return {
-                tier: {"hits": 0, "misses": 0, "evictions": 0}
-                for tier in self.TIERS
+                tier: dict.fromkeys(self.COUNTERS, 0) for tier in self.TIERS
             }
 
-    def flush_counters(self) -> None:
-        session = {
-            tier: {
-                "hits": self.hits[tier],
-                "misses": self.misses[tier],
-                "evictions": self.evictions[tier],
-            }
-            for tier in self.TIERS
-        }
-        delta_any = False
-        totals = None
-        for tier in self.TIERS:
-            for name in ("hits", "misses", "evictions"):
-                if session[tier][name] != self._flushed[tier][name]:
-                    delta_any = True
-        if not delta_any:
+    def add_counters(self, delta: Mapping[str, Mapping[str, int]]) -> None:
+        """Add ``delta`` (tier → counter → count) to the sidecar.
+
+        The read-modify-write holds an exclusive lock on
+        ``phases/counters.lock``, so concurrent processes add up
+        exactly.  I/O failures are ignored: counters are observability,
+        never correctness.
+        """
+        if not any(any(rec.values()) for rec in delta.values()):
             return
-        totals = self.lifetime_counters()
-        for tier in self.TIERS:
-            for name in ("hits", "misses", "evictions"):
-                totals[tier][name] += (
-                    session[tier][name] - self._flushed[tier][name]
+        try:
+            self.dir.mkdir(parents=True, exist_ok=True)
+            with open(self.dir / "counters.lock", "a") as lock:
+                fcntl.flock(lock, fcntl.LOCK_EX)
+                totals = self.lifetime_counters()
+                for tier, rec in delta.items():
+                    for name, count in rec.items():
+                        totals[tier][name] += count
+                _write_atomic(
+                    self._counters_path, json.dumps(totals).encode("utf-8")
                 )
-        if not _write_json_atomic(self._counters_path, totals):
-            return
-        self._flushed = {tier: dict(rec) for tier, rec in session.items()}
+        except OSError:
+            pass
 
     # -- maintenance ---------------------------------------------------
-    def entries(self, tier: str) -> list:
+    def entries(self, tier: str, suffix: str = ".pkl") -> list:
+        """Files of ``tier`` (``suffix=".pkl.corrupt"``: quarantined)."""
         root = self.dir / tier
         if not root.is_dir():
             return []
-        return sorted(root.glob("[0-9a-f][0-9a-f]/*.pkl"))
-
-    def corrupt_entries(self, tier: str) -> list:
-        root = self.dir / tier
-        if not root.is_dir():
-            return []
-        return sorted(root.glob("[0-9a-f][0-9a-f]/*.pkl.corrupt"))
+        return sorted(root.glob(f"[0-9a-f][0-9a-f]/*{suffix}"))
 
     def stats(self) -> Dict[str, Any]:
         lifetime = self.lifetime_counters()
@@ -645,30 +478,100 @@ class PhaseCache:
             tiers[tier] = {
                 "entries": len(entries),
                 "bytes": sum(p.stat().st_size for p in entries),
-                "corrupt": len(self.corrupt_entries(tier)),
+                "corrupt": len(self.entries(tier, ".pkl.corrupt")),
                 "lifetime": lifetime[tier],
-                "session": {
-                    "hits": self.hits[tier],
-                    "misses": self.misses[tier],
-                    "evictions": self.evictions[tier],
-                },
             }
         return {"dir": str(self.dir), "tiers": tiers}
 
-    def clear(self, tiers: Optional[List[str]] = None) -> int:
-        """Remove entries for ``tiers`` (default: all); returns count."""
-        removed = 0
-        for tier in tiers if tiers is not None else self.TIERS:
-            if tier not in self.TIERS:
-                raise ValueError(f"unknown phase tier {tier!r}")
+    def clear(self, tiers: Optional[Sequence[str]] = None) -> int:
+        """Remove entries for ``tiers`` (default: all); returns count.
+
+        Every removed entry counts as an eviction of its tier.
+        """
+        tiers = list(self.TIERS if tiers is None else tiers)
+        unknown = [tier for tier in tiers if tier not in self.TIERS]
+        if unknown:
+            raise ValueError(
+                f"unknown cache tier(s) {', '.join(unknown)}; "
+                f"valid: {', '.join(self.TIERS)}"
+            )
+        removed = dict.fromkeys(tiers, 0)
+        for tier in tiers:
             for path in self.entries(tier):
                 try:
                     path.unlink()
-                    removed += 1
-                    self.evictions[tier] += 1
+                    removed[tier] += 1
                 except OSError:
                     pass
+            self.evictions[tier] += removed[tier]
             for mem_key in [k for k in self._memory if k[0] == tier]:
                 del self._memory[mem_key]
-        self.flush_counters()
-        return removed
+        self.add_counters(
+            {tier: {"evictions": count} for tier, count in removed.items()}
+        )
+        return sum(removed.values())
+
+
+class ExperimentCache:
+    """The ``full`` tier's codec: :class:`ExperimentResult` entries.
+
+    Stores ``ExperimentResult.to_dict()`` payloads in the directory's
+    shared :class:`PhaseCache`; a payload that ``from_dict`` refuses
+    (another result schema) is quarantined like any other bad entry.
+    """
+
+    TIER = "full"
+
+    def __init__(self, cache_dir: Optional[str | Path] = None):
+        self.store = PhaseCache.shared(cache_dir)
+
+    def get(self, key: str) -> Optional["ExperimentResult"]:
+        from repro.harness.experiment import ExperimentResult
+
+        data = self.store.get(self.TIER, key)
+        if data is None:
+            return None
+        try:
+            return ExperimentResult.from_dict(data)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            self.store.quarantine(self.TIER, key)
+            return None
+
+    def put(self, key: str, result: "ExperimentResult") -> bool:
+        return self.store.put(self.TIER, key, result.to_dict())
+
+    def clear(self) -> int:
+        """Remove every full result; returns how many were deleted."""
+        return self.store.clear([self.TIER])
+
+
+def _read_entry(handle: BinaryIO) -> Any:
+    """Unpickle an entry file, but only behind a matching header."""
+    if handle.read(len(ENTRY_HEADER)) != ENTRY_HEADER:
+        raise ValueError("missing or foreign cache entry header")
+    return pickle.load(handle)
+
+
+def _write_atomic(path: Path, *chunks: bytes) -> bool:
+    """Write ``chunks`` to ``path`` through a temp file and a rename, so
+    readers see the old entry or the whole new one; ``False`` when the
+    cache directory is unwritable."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=path.parent, prefix=".tmp-", suffix=path.suffix
+        )
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                for chunk in chunks:
+                    handle.write(chunk)
+            os.replace(tmp, path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError:
+        return False  # read-only cache dir etc.: silently skip
+    return True

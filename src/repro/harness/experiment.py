@@ -26,12 +26,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.backend.compiler import COMPILER_PRESETS, CompilerConfig, FinalCompiler
 from repro.core.pipeline import _collect_types, slms
 from repro.core.slms import SLMSOptions
 from repro.harness.expcache import (
+    PHASE_TIERS,
     PhaseCache,
     compile_key,
     simulate_key,
@@ -208,69 +209,45 @@ class ExperimentResult:
 class _PhaseMemo:
     """One experiment's view of the tiered phase cache.
 
-    Wraps a shared :class:`~repro.harness.expcache.PhaseCache` with
-    per-experiment tier traffic counts (``tiers``) and the memoized
-    seconds served from hits (``credits``), which become the result's
-    ``cache_tiers`` / ``cached_phase_times``.
+    Wraps a shared :class:`~repro.harness.expcache.PhaseCache` (or
+    ``None``: no memoization) with per-experiment tier traffic counts
+    (``tiers``) and the memoized seconds served from hits (``credits``),
+    which become the result's ``cache_tiers`` / ``cached_phase_times``.
     """
 
-    def __init__(self, cache: PhaseCache):
+    def __init__(self, cache: Optional[PhaseCache]):
         self.cache = cache
-        self.tiers = {
-            tier: {"hits": 0, "misses": 0} for tier in cache.TIERS
-        }
+        self.tiers = {tier: {"hits": 0, "misses": 0} for tier in PHASE_TIERS}
         self.credits: Dict[str, float] = {}
 
-    def get(self, tier: str, key: str):
-        value = self.cache.get(tier, key)
-        self.tiers[tier]["hits" if value is not None else "misses"] += 1
+    def run(
+        self, tier: str, key: Callable[[], str], compute: Callable[[], Any]
+    ):
+        """``compute()``, memoized in ``tier`` under ``key()``.
+
+        A hit returns the stored value and credits the seconds it
+        originally cost to the phase of the same name; a miss computes,
+        stores the value with its cost, and returns it.  Keys are only
+        built when there is a cache, and a ``compute`` that raises
+        stores nothing.
+        """
+        if self.cache is None:
+            return compute()
+        k = key()
+        entry = self.cache.get(tier, k)
+        if entry is not None:
+            self.tiers[tier]["hits"] += 1
+            self.credits[tier] = (
+                self.credits.get(tier, 0.0) + entry["elapsed"]
+            )
+            return entry["value"]
+        self.tiers[tier]["misses"] += 1
+        t0 = time.perf_counter()
+        value = compute()
+        self.cache.put(
+            tier, k, {"value": value, "elapsed": time.perf_counter() - t0}
+        )
         return value
-
-    def put(self, tier: str, key: str, value) -> None:
-        self.cache.put(tier, key, value)
-
-    def credit(self, phase: str, elapsed: float) -> None:
-        self.credits[phase] = self.credits.get(phase, 0.0) + elapsed
-
-
-def _compile_memo(
-    memo: Optional[_PhaseMemo],
-    source: Optional[str],
-    prog: Program,
-    machine: MachineModel,
-    config: CompilerConfig,
-):
-    if memo is None:
-        return FinalCompiler(machine, config).compile(prog)
-    key = compile_key(source, machine, config)
-    entry = memo.get("compile", key)
-    if entry is not None:
-        memo.credit("compile", entry["elapsed"])
-        return entry["value"]
-    t0 = time.perf_counter()
-    compiled = FinalCompiler(machine, config).compile(prog)
-    memo.put(
-        "compile",
-        key,
-        {"value": compiled, "elapsed": time.perf_counter() - t0},
-    )
-    return compiled
-
-
-def _execute_memo(memo: Optional[_PhaseMemo], module, machine):
-    if memo is None:
-        return execute(module, machine)
-    key = simulate_key(module, machine)
-    entry = memo.get("simulate", key)
-    if entry is not None:
-        memo.credit("simulate", entry["elapsed"])
-        return entry["value"]
-    t0 = time.perf_counter()
-    run = execute(module, machine)
-    memo.put(
-        "simulate", key, {"value": run, "elapsed": time.perf_counter() - t0}
-    )
-    return run
 
 
 def _kernel_cycles(
@@ -278,24 +255,38 @@ def _kernel_cycles(
     full_prog: Program,
     machine: MachineModel,
     config: CompilerConfig,
-    times: Optional[Dict[str, float]] = None,
-    memo: Optional[_PhaseMemo] = None,
-    sources: Tuple[Optional[str], Optional[str]] = (None, None),
+    times: Dict[str, float],
+    memo: _PhaseMemo,
+    sources: Tuple[Optional[str], Optional[str]],
 ) -> tuple:
     tracer = get_tracer()
+
+    def compiled(source, prog):
+        return memo.run(
+            "compile",
+            lambda: compile_key(source, machine, config),
+            lambda: FinalCompiler(machine, config).compile(prog),
+        )
+
+    def simulated(module):
+        return memo.run(
+            "simulate",
+            lambda: simulate_key(module, machine),
+            lambda: execute(module, machine),
+        )
+
     setup_src, full_src = sources
     t0 = time.perf_counter()
     with tracer.span("phase.compile"):
-        compiled_setup = _compile_memo(memo, setup_src, setup_prog, machine, config)
-        compiled_full = _compile_memo(memo, full_src, full_prog, machine, config)
+        compiled_setup = compiled(setup_src, setup_prog)
+        compiled_full = compiled(full_src, full_prog)
     t1 = time.perf_counter()
     with tracer.span("phase.simulate"):
-        setup_run = _execute_memo(memo, compiled_setup.module, machine)
-        full_run = _execute_memo(memo, compiled_full.module, machine)
+        setup_run = simulated(compiled_setup.module)
+        full_run = simulated(compiled_full.module)
     t2 = time.perf_counter()
-    if times is not None:
-        times["compile"] = times.get("compile", 0.0) + (t1 - t0)
-        times["simulate"] = times.get("simulate", 0.0) + (t2 - t1)
+    times["compile"] += t1 - t0
+    times["simulate"] += t2 - t1
     kernel_cycles = full_run.metrics.cycles - setup_run.metrics.cycles
     kernel_energy = full_run.metrics.energy_pj - setup_run.metrics.energy_pj
     return compiled_full, full_run, max(1, kernel_cycles), max(1.0, kernel_energy)
@@ -334,7 +325,7 @@ def run_experiment(
         compiler = COMPILER_PRESETS[compiler]
 
     tracer = get_tracer()
-    memo = _PhaseMemo(phase_cache) if phase_cache is not None else None
+    memo = _PhaseMemo(phase_cache)
     # Every phase key is always present (0.0 when a phase does no work)
     # so downstream aggregation never KeyErrors on declined-SLMS or
     # otherwise short-circuited results.
@@ -356,28 +347,16 @@ def run_experiment(
             # oracle: every applied result must satisfy the re-derived
             # modulo constraints and replay its iteration space exactly.
             options = replace(options or SLMSOptions(), verify=True)
-        t0 = time.perf_counter()
-        entry = tkey = None
-        if memo is not None:
-            tkey = transform_key(workload, options)
-            entry = memo.get("transform", tkey)
-        if entry is not None:
-            slms_prog, summaries = entry["program"], entry["loops"]
-            memo.credit("transform", entry["elapsed"])
-        else:
+
+        def transform():
             with tracer.span("phase.transform"):
-                slms_prog, reports = transform_kernel(workload, options)
-            summaries = [LoopSummary.from_report(r) for r in reports]
-            if memo is not None:
-                memo.put(
-                    "transform",
-                    tkey,
-                    {
-                        "program": slms_prog,
-                        "loops": summaries,
-                        "elapsed": time.perf_counter() - t0,
-                    },
-                )
+                program, reports = transform_kernel(workload, options)
+            return program, [LoopSummary.from_report(r) for r in reports]
+
+        t0 = time.perf_counter()
+        slms_prog, summaries = memo.run(
+            "transform", lambda: transform_key(workload, options), transform
+        )
         times["transform"] = time.perf_counter() - t0
         if verify:
             for summary in summaries:
@@ -389,7 +368,7 @@ def run_experiment(
                     )
 
         setup_src = base_src = slms_src = None
-        if memo is not None:
+        if phase_cache is not None:
             setup_src = to_source(setup_prog)
             base_src = to_source(base_prog)
             slms_src = to_source(slms_prog)
@@ -402,50 +381,45 @@ def run_experiment(
             memo=memo, sources=(setup_src, slms_src),
         )
 
+        new_scalars = [n for s in summaries for n in s.new_scalars]
+
+        def check_states():
+            # Compiled oracle: bit-identical states/errors to
+            # run_program, at a fraction of the tree-walk cost.
+            oracle = run_program_fast(base_prog)
+            ignore = set(new_scalars)
+            ignore |= {
+                k for k in slms_run.state
+                if k.endswith("Arr") and k not in oracle
+            }
+            if not state_equal(oracle, base_run.state, ignore=set(base_run.state) - set(oracle) | ignore):
+                raise VerificationError(
+                    f"{workload.name}: baseline compilation changed semantics"
+                )
+            if not state_equal(
+                oracle, slms_run.state, ignore=(set(slms_run.state) - set(oracle)) | ignore
+            ):
+                raise VerificationError(
+                    f"{workload.name}: SLMS variant changed semantics"
+                )
+
         t0 = time.perf_counter()
         with tracer.span("phase.verify"):
             if verify:
-                new_scalars = [n for s in summaries for n in s.new_scalars]
-                ventry = vkey = None
-                if memo is not None:
-                    vkey = verify_key(
+                # Only proven-equal outcomes are memoized; failures
+                # always re-run (and re-raise) fresh.
+                memo.run(
+                    "verify",
+                    lambda: verify_key(
                         base_src,
                         slms_src,
                         options,
                         new_scalars,
                         state_digest(base_run.state),
                         state_digest(slms_run.state),
-                    )
-                    ventry = memo.get("verify", vkey)
-                if ventry is not None:
-                    memo.credit("verify", ventry["elapsed"])
-                else:
-                    # Compiled oracle: bit-identical states/errors to
-                    # run_program, at a fraction of the tree-walk cost.
-                    oracle = run_program_fast(base_prog)
-                    ignore = set(new_scalars)
-                    ignore |= {
-                        k for k in slms_run.state
-                        if k.endswith("Arr") and k not in oracle
-                    }
-                    if not state_equal(oracle, base_run.state, ignore=set(base_run.state) - set(oracle) | ignore):
-                        raise VerificationError(
-                            f"{workload.name}: baseline compilation changed semantics"
-                        )
-                    if not state_equal(
-                        oracle, slms_run.state, ignore=(set(slms_run.state) - set(oracle)) | ignore
-                    ):
-                        raise VerificationError(
-                            f"{workload.name}: SLMS variant changed semantics"
-                        )
-                    if memo is not None:
-                        # Only proven-equal outcomes are memoized;
-                        # failures always re-run (and re-raise) fresh.
-                        memo.put(
-                            "verify",
-                            vkey,
-                            {"elapsed": time.perf_counter() - t0},
-                        )
+                    ),
+                    check_states,
+                )
         times["verify"] = time.perf_counter() - t0
         times["total"] = time.perf_counter() - t_start
         if tracer.enabled:
@@ -457,10 +431,7 @@ def run_experiment(
                 # cached_phase_times split so Chrome/profiler exports
                 # see the same work-vs-served story as the JSON forms.
                 work_s=round(times["total"], 6),
-                cached_s=round(
-                    sum(memo.credits.values()) if memo is not None else 0.0,
-                    6,
-                ),
+                cached_s=round(sum(memo.credits.values()), 6),
             )
 
     def kernel_ims(compiled) -> bool:
@@ -491,12 +462,8 @@ def run_experiment(
         base_metrics=base_run.metrics,
         slms_metrics=slms_run.metrics,
         phase_times=times,
-        cached_phase_times=dict(memo.credits) if memo is not None else {},
-        cache_tiers=(
-            {tier: dict(rec) for tier, rec in memo.tiers.items()}
-            if memo is not None
-            else None
-        ),
+        cached_phase_times=dict(memo.credits),
+        cache_tiers=memo.tiers if phase_cache is not None else None,
     )
 
 

@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import threading
 import time
 import traceback as _tb
 from bisect import insort
@@ -535,6 +536,31 @@ def _worker_entry(payload: Tuple) -> Tuple:
     return _call(fn, arg, index, attempt, plan, traced, in_process=False)
 
 
+# Held across every pool submit, which is where a fork-context pool
+# forks its workers.  A pool notices a dead worker only by EOF on that
+# worker's sentinel pipe; a fork on another thread between the pipe's
+# creation and the parent closing the child's end hands a copy of the
+# write end to an unrelated child, and the death stays invisible until
+# that child exits.  Concurrent callers (``slms serve`` handler threads)
+# therefore fork one at a time.
+_FORK_LOCK = threading.Lock()
+
+
+def _reset_fork_lock() -> None:
+    # A child forked inside ``_submit`` inherits the lock held; a pooled
+    # dispatch inside a pooled worker needs a free one.
+    global _FORK_LOCK
+    _FORK_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_reset_fork_lock)
+
+
+def _submit(pool: ProcessPoolExecutor, payload: Tuple) -> Future:
+    with _FORK_LOCK:
+        return pool.submit(_worker_entry, payload)
+
+
 def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Hard-stop a pool whose workers may be dead or stuck."""
     if pool is None:
@@ -704,7 +730,7 @@ def execute_guarded(
         """
         while True:
             solo = ProcessPoolExecutor(max_workers=1)
-            fut = solo.submit(_worker_entry, payload(i))
+            fut = _submit(solo, payload(i))
             try:
                 res = fut.result(timeout=policy.timeout_s)
             except _FuturesTimeout:
@@ -775,7 +801,7 @@ def execute_guarded(
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=workers)
                     try:
-                        fut = pool.submit(_worker_entry, payload(i))
+                        fut = _submit(pool, payload(i))
                     except BrokenProcessPool:
                         absorb_breakage(extra=i)
                         broke = True

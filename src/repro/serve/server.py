@@ -48,7 +48,7 @@ from repro.harness.faults import FaultPlan, FaultPolicy, RetryPolicy, execute_gu
 from repro.serve.session import RequestError, Session, SessionConfig
 
 SERVE_SCHEMA = "slms-serve/1"
-STATS_SCHEMA = "slms-serve-stats/1"
+STATS_SCHEMA = "slms-serve-stats/2"
 
 #: Plan ops that fire inside the request's worker; admission-side ops
 #: (``reject``) and engine-side ops (``corrupt-cache``/``abort``) are
@@ -408,11 +408,7 @@ class SlmsServer(ThreadingHTTPServer):
             self.tracer.absorb(local.to_dict())
 
     def stats(self) -> Dict[str, Any]:
-        from repro.harness.expcache import (
-            ENGINE_VERSION,
-            ExperimentCache,
-            PhaseCache,
-        )
+        from repro.harness.expcache import ENGINE_VERSION, PhaseCache
 
         with self._lock:
             counters = dict(self.counters)
@@ -433,13 +429,9 @@ class SlmsServer(ThreadingHTTPServer):
             "session": self.config.session.to_dict(),
         }
         try:
-            cache = ExperimentCache(self.config.session.cache_dir)
-            payload["cache"] = {
-                "full": cache.stats(),
-                "tiers": PhaseCache(self.config.session.cache_dir).stats()[
-                    "tiers"
-                ],
-            }
+            payload["cache"] = PhaseCache.shared(
+                self.config.session.cache_dir
+            ).stats()
         except Exception:
             payload["cache"] = None
         return payload

@@ -154,18 +154,57 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
 
+def _tier_entries(out: str) -> dict:
+    """``slms cache stats`` rows as tier -> entry count, in print order."""
+    rows = {}
+    for line in out.splitlines():
+        parts = line.split()
+        if len(parts) > 2 and parts[2] == "entr(ies)":
+            rows[parts[0]] = int(parts[1])
+    return rows
+
+
 class TestCacheCommand:
-    def test_stats_and_clear(self, tmp_path, monkeypatch, capsys):
+    def _sweep(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("SLMS_CACHE_DIR", str(tmp_path / "cache"))
         main(["sweep", "daxpy", "--pairs", "itanium2/gcc_O3",
               "--workers", "1"])
         capsys.readouterr()
+
+    def _stats(self, capsys) -> dict:
         assert main(["cache", "stats"]) == 0
-        assert "entries:   1" in capsys.readouterr().out
+        return _tier_entries(capsys.readouterr().out)
+
+    def test_stats_and_clear(self, tmp_path, monkeypatch, capsys):
+        self._sweep(tmp_path, monkeypatch, capsys)
+        before = self._stats(capsys)
+        assert list(before) == [
+            "full", "transform", "compile", "simulate", "verify",
+        ]
+        assert before["full"] == 1
+        assert all(count > 0 for count in before.values())
         assert main(["cache", "clear"]) == 0
-        assert "removed 1" in capsys.readouterr().out
-        assert main(["cache", "stats"]) == 0
-        assert "entries:   0" in capsys.readouterr().out
+        assert f"removed {sum(before.values())} " in capsys.readouterr().out
+        assert set(self._stats(capsys).values()) == {0}
+
+    def test_clear_full_keeps_phase_tiers(self, tmp_path, monkeypatch,
+                                          capsys):
+        self._sweep(tmp_path, monkeypatch, capsys)
+        before = self._stats(capsys)
+        assert main(["cache", "clear", "--tiers", "full"]) == 0
+        assert "removed 1 entr(ies) [full]" in capsys.readouterr().out
+        after = self._stats(capsys)
+        assert after == {**before, "full": 0}
+
+    def test_unknown_tier_is_a_usage_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        self._sweep(tmp_path, monkeypatch, capsys)
+        before = self._stats(capsys)
+        assert main(["cache", "clear", "--tiers", "full,bogus"]) == 2
+        err = capsys.readouterr().err
+        assert "bogus" in err
+        assert "full, transform, compile, simulate, verify" in err
+        assert self._stats(capsys) == before
 
 
 class TestBenchProfile:

@@ -15,7 +15,7 @@ from repro.harness.engine import (
     get_default_engine,
     run_experiments,
 )
-from repro.harness.expcache import ExperimentCache, experiment_key
+from repro.harness.expcache import ExperimentCache, PhaseCache, experiment_key
 from repro.harness.sweep import run_sweep
 from repro.machines.presets import itanium2, machine_by_name
 from repro.workloads import get_workload
@@ -145,22 +145,33 @@ class TestCache:
         assert spec.cache_key() == spec.cache_key()
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path):
-        cache = ExperimentCache(tmp_path)
-        spec = _specs(("daxpy",))[0]
-        key = spec.cache_key()
-        path = cache._path(key)
+        key = _specs(("daxpy",))[0].cache_key()
+        path = PhaseCache(tmp_path)._path("full", key)
         path.parent.mkdir(parents=True)
         path.write_text("{not json")
-        assert cache.get(key) is None
+        assert ExperimentCache(tmp_path).get(key) is None
+        assert PhaseCache(tmp_path).stats()["tiers"]["full"]["corrupt"] == 1
+
+    def test_foreign_result_schema_is_quarantined(self, tmp_path):
+        key = _specs(("daxpy",))[0].cache_key()
+        # A well-formed entry whose payload from_dict refuses.
+        PhaseCache(tmp_path).put("full", key, {"schema": 1})
+        assert ExperimentCache(tmp_path).get(key) is None
+        full = PhaseCache(tmp_path).stats()["tiers"]["full"]
+        assert (full["entries"], full["corrupt"]) == (0, 1)
+        assert full["lifetime"]["evictions"] == 1
 
     def test_stats_and_clear(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         run_experiments(_specs(("daxpy",)), workers=1, cache_dir=cache_dir)
-        cache = ExperimentCache(cache_dir)
-        stats = cache.stats()
-        assert stats["entries"] == 1 and stats["bytes"] > 0
-        assert cache.clear() == 1
-        assert cache.stats()["entries"] == 0
+        store = PhaseCache(cache_dir)
+        full = store.stats()["tiers"]["full"]
+        assert full["entries"] == 1 and full["bytes"] > 0
+        assert ExperimentCache(cache_dir).clear() == 1
+        tiers = store.stats()["tiers"]
+        assert tiers["full"]["entries"] == 0
+        # Clearing the full tier leaves the phase tiers alone.
+        assert tiers["compile"]["entries"] > 0
 
 
 class TestEngineDefaults:

@@ -1,12 +1,12 @@
 """Concurrent expcache access: two processes racing the same key.
 
-``ExperimentCache.put`` writes via temp-file + atomic rename, so a
-reader can never observe a torn entry no matter how the race resolves.
+The store writes via temp-file + atomic rename, so a reader can never
+observe a torn entry no matter how the race resolves.
 """
 
 import multiprocessing
 
-from repro.harness.expcache import ExperimentCache, request_key
+from repro.harness.expcache import ExperimentCache, PhaseCache, request_key
 from repro.harness.experiment import ExperimentResult
 
 
@@ -18,13 +18,20 @@ def _result(cycles: int) -> ExperimentResult:
     )
 
 
+def _read_disk(cache_dir: str, key: str):
+    """The full-tier entry as on disk: a fresh store has no in-memory
+    overlay to serve it from (and quarantines a torn file)."""
+    data = PhaseCache(cache_dir).get("full", key)
+    return None if data is None else ExperimentResult.from_dict(data)
+
+
 def _racer(cache_dir: str, key: str, cycles: int, rounds: int, queue):
     """Hammer put/get on one key; report any torn read."""
     cache = ExperimentCache(cache_dir)
     try:
         for _ in range(rounds):
             assert cache.put(key, _result(cycles))
-            seen = cache.get(key)
+            seen = _read_disk(cache_dir, key)
             # The entry must always be one writer's complete result —
             # whichever process won the last rename.
             assert seen is not None
@@ -56,8 +63,9 @@ class TestTwoProcessRace:
         assert [kind for kind, _ in outcomes] == ["ok", "ok"], outcomes
 
         # After the dust settles the entry is intact and parseable.
-        final = ExperimentCache(cache_dir).get(key)
+        final = _read_disk(cache_dir, key)
         assert final is not None and final.slms_cycles in (50, 60)
+        assert PhaseCache(cache_dir).stats()["tiers"]["full"]["corrupt"] == 0
 
     def test_distinct_keys_do_not_interfere(self, tmp_path):
         cache = ExperimentCache(str(tmp_path / "cache"))
@@ -68,6 +76,9 @@ class TestTwoProcessRace:
         cache.put(key_b, _result(60))
         assert cache.get(key_a).slms_cycles == 50
         assert cache.get(key_b).slms_cycles == 60
+        cache_dir = str(tmp_path / "cache")
+        assert _read_disk(cache_dir, key_a).slms_cycles == 50
+        assert _read_disk(cache_dir, key_b).slms_cycles == 60
 
 
 class TestRequestKey:

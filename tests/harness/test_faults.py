@@ -24,7 +24,7 @@ import sys
 import pytest
 
 from repro.harness.engine import engine_defaults, run_experiments, run_tasks
-from repro.harness.expcache import ExperimentCache
+from repro.harness.expcache import PhaseCache
 from repro.harness.faults import (
     FailedResult,
     FaultPlan,
@@ -53,6 +53,19 @@ def _double(x):
 
 def _raise_value_error(x):
     raise ValueError(f"bad item {x}")
+
+
+def _fork_lock_held(_):
+    from repro.harness import faults
+
+    return faults._FORK_LOCK.locked()
+
+
+def _pooled_doubles(n):
+    """A task that dispatches through its own pool, as a served sweep
+    with ``workers > 1`` does inside its request's worker."""
+    return [o.value for o in execute_guarded(_double, list(range(n)),
+                                             workers=2)]
 
 
 class TestTaxonomy:
@@ -311,6 +324,20 @@ class TestGuardedPooled:
         assert [o.ok for o in outcomes] == [True, True]
         assert outcomes[0].attempts == 2
 
+    def test_pooled_dispatch_inside_pooled_worker(self):
+        # The outer pool forks its workers while the fork lock is held;
+        # each child needs a free lock of its own, or its pooled
+        # dispatch blocks for good.  The lock is checked first on its
+        # own, so a regression fails here instead of hanging.
+        held = execute_guarded(_fork_lock_held, [0, 1], workers=2)
+        assert [o.value for o in held] == [False, False]
+        outcomes = execute_guarded(
+            _pooled_doubles, [2, 3], workers=2,
+            policy=FaultPolicy(timeout_s=30),
+        )
+        assert [o.failure for o in outcomes] == [None, None]
+        assert [o.value for o in outcomes] == [[0, 2], [0, 2, 4]]
+
     def test_failure_reports_invariant_across_worker_counts(self):
         plan = FaultPlan.parse("fail:1;transient:2x9;oom:3")
         policy = FaultPolicy(
@@ -477,10 +504,10 @@ class TestEngineFaults:
         )
         assert not is_failed(results[0])
         assert stats.cache_hits == 0
-        cache = ExperimentCache(cache_dir)
-        assert len(cache.corrupt_entries()) == 1
-        assert cache.stats()["corrupt"] == 1
-        assert cache.lifetime_counters()["evictions"] >= 1
+        assert stats.cache_evictions == 1
+        full = PhaseCache(cache_dir).stats()["tiers"]["full"]
+        assert full["corrupt"] == 1
+        assert full["lifetime"]["evictions"] == 1
         # Third run: the re-cached entry is healthy again.
         _, warm = run_experiments(
             _specs(("daxpy",)), workers=1, cache_dir=cache_dir

@@ -11,14 +11,16 @@ The invalidation lattice under test (see docs/PERFORMANCE.md):
 
 Plus the result-schema pins the tiering relies on: ``phase_times``
 (wall clock actually spent) and ``cached_phase_times`` (seconds served
-from the cache) are distinct keys and schema 2 carries both.
+from the cache) are distinct keys and schema 2 carries both; and the
+entry header every file must carry before it is unpickled.
 """
 
 from dataclasses import replace
 
 import pytest
 
-from repro.harness.expcache import PhaseCache
+from repro.harness import expcache
+from repro.harness.expcache import ENTRY_HEADER, PhaseCache
 from repro.harness.experiment import (
     SCHEMA_VERSION,
     ExperimentResult,
@@ -170,3 +172,62 @@ class TestWrites:
         cache.put("transform", "c" * 64, "v")
         stats = cache.stats()
         assert stats["tiers"]["transform"]["entries"] == 1
+
+
+class TestEntryHeader:
+    """Nothing is unpickled unless the file starts with this engine's
+    header; anything else is a quarantined miss."""
+
+    KEY = "d" * 64
+
+    def _entry(self, tmp_path):
+        store = PhaseCache(tmp_path)
+        assert store.put("compile", self.KEY, {"x": 1})
+        path = store._path("compile", self.KEY)
+        assert path.read_bytes().startswith(ENTRY_HEADER)
+        return path
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b"slms-cache/1 engine=0\n",  # another engine version
+            b"",  # a header-less pickle, as written before headers
+            b"garbage\n",  # a foreign file
+        ],
+        ids=["other-engine", "no-header", "foreign"],
+    )
+    def test_foreign_header_is_quarantined_unread(
+        self, tmp_path, monkeypatch, header
+    ):
+        path = self._entry(tmp_path)
+        body = path.read_bytes()[len(ENTRY_HEADER):]
+        path.write_bytes(header + body)
+        loads = []
+
+        def refuse(*args, **kwargs):
+            loads.append(args)
+            raise AssertionError("unpickled an entry without its header")
+
+        monkeypatch.setattr(expcache.pickle, "load", refuse)
+        fresh = PhaseCache(tmp_path)
+        assert fresh.get("compile", self.KEY) is None
+        assert loads == []
+        assert not path.exists()
+        assert fresh.evictions["compile"] == 1
+        tier = fresh.stats()["tiers"]["compile"]
+        assert (tier["entries"], tier["corrupt"]) == (0, 1)
+        assert tier["lifetime"]["evictions"] == 1
+
+    def test_torn_entry_is_quarantined(self, tmp_path):
+        path = self._entry(tmp_path)
+        path.write_bytes(path.read_bytes()[:-3])
+        fresh = PhaseCache(tmp_path)
+        assert fresh.get("compile", self.KEY) is None
+        assert fresh.stats()["tiers"]["compile"]["corrupt"] == 1
+
+    def test_matching_header_is_unpickled(self, tmp_path, monkeypatch):
+        # Control for the test above: the patched name is the one a
+        # valid entry goes through.
+        self._entry(tmp_path)
+        monkeypatch.setattr(expcache.pickle, "load", lambda handle: "seen")
+        assert PhaseCache(tmp_path).get("compile", self.KEY) == "seen"

@@ -30,8 +30,11 @@ class TestProtocol:
             health = client.healthz()
             assert health["ok"] is True and health["draining"] is False
             stats = client.statsz()
-            assert stats["schema"] == "slms-serve-stats/1"
+            assert stats["schema"] == "slms-serve-stats/2"
             assert stats["queue"]["limit"] == server.config.queue_limit
+            assert list(stats["cache"]["tiers"]) == [
+                "full", "transform", "compile", "simulate", "verify",
+            ]
 
     def test_compile_roundtrip(self, running_server):
         with running_server() as server:
