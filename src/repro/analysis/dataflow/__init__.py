@@ -18,8 +18,10 @@ The package provides one generic engine and three concrete analyses:
   ``slms lint``'s array-bounds proofs.
 
 ``slms lint`` (:mod:`repro.verify.lint`) and the applicability advisor
-(:mod:`repro.core.advisor`) are the two in-tree consumers; see
-``docs/ANALYSIS.md`` for the lattice/transfer definitions.
+(:mod:`repro.core.advisor`) consume the statement-level analyses; see
+``docs/ANALYSIS.md`` for the lattice/transfer definitions.  The
+simulator's LIR operand-type analysis (:mod:`repro.sim.lir_types`)
+runs the same solver over a block-level CFG.
 """
 
 from repro.analysis.dataflow.cfg import CFG, CFGNode, build_cfg

@@ -42,7 +42,9 @@ class CFGNode:
 
     ``kind`` is ``"entry"``, ``"exit"``, ``"stmt"`` (Decl / Assign /
     ExprStmt / loop init / loop step), or ``"branch"`` (an ``If`` or
-    loop condition, held in ``cond``).
+    loop condition, held in ``cond``).  The simulator's LIR type
+    analysis (:mod:`repro.sim.lir_types`) builds a block-level CFG
+    whose nodes have kind ``"block"``.
     """
 
     id: int

@@ -562,17 +562,25 @@ def _submit(pool: ProcessPoolExecutor, payload: Tuple) -> Future:
 
 
 def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-    """Hard-stop a pool whose workers may be dead or stuck."""
+    """Hard-stop a pool whose workers may be dead or stuck.
+
+    The workers are listed before ``shutdown``, which drops the pool's
+    reference to them.  They are killed, not terminated: a worker
+    inherits the CLI's SIGTERM handler, which would raise into the
+    task instead of stopping the process.
+    """
     if pool is None:
         return
+    procs = list((getattr(pool, "_processes", None) or {}).values())
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
         pass
-    for proc in list((getattr(pool, "_processes", None) or {}).values()):
+    for proc in procs:
         try:
-            proc.terminate()
-        except Exception:
+            if proc.is_alive():
+                proc.kill()
+        except (OSError, ValueError):  # already reaped or closed
             pass
 
 

@@ -25,6 +25,14 @@ observer — is load-bearing, since experiment digests are pinned
 byte-identical, so the generated code mirrors the reference semantics
 operation for operation:
 
+* the arithmetic is that of ``lir_interp._BINOPS``/``_UNOPS``, except
+  that an ``int(x)``/``float(x)`` operand coercion is left out where
+  :mod:`repro.sim.lir_types` proves ``x`` already has that exact type
+  (there the coercion is the identity); coercions of unproven operands
+  — joins of int and float paths, ``env`` values of the other type,
+  ``powr`` results, call results — stay, so they raise or convert
+  exactly as in the reference.  A loop superblock's body is typed from
+  the fixpoint at its head, which holds on every iteration;
 * registers live in locals, preloaded with ``R.get(name, 0)`` only
   when their first use is a read, and written back before every return
   point; a mid-block exception loses uncommitted locals, which is
@@ -69,6 +77,7 @@ from repro.sim.cache import AddressMap
 from repro.sim.executor import ExecutionMetrics, _BlockProfile, _profile_blocks
 from repro.sim.interp import InterpError, _c_div, _c_mod
 from repro.sim.lir_interp import LIRInterpreter
+from repro.sim.lir_types import TypeMap, block_entry_types, step
 
 # Source text → compiled code object.  Keyed on the full generated
 # source, so a hit is exact by construction; bounded as a backstop
@@ -103,42 +112,46 @@ _HELPERS = {
     "_cmod": "_c_mod",
 }
 
-# Expression templates — byte-for-byte the arithmetic of
-# ``lir_interp._BINOPS`` / ``_UNOPS`` with operands as locals.
-_BIN_EXPR: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "add": ("_int({a}) + _int({b})", ("_int",)),
-    "sub": ("_int({a}) - _int({b})", ("_int",)),
-    "mul": ("_int({a}) * _int({b})", ("_int",)),
-    "div": ("_cdiv(_int({a}), _int({b}))", ("_cdiv", "_int")),
-    "mod": ("_cmod(_int({a}), _int({b}))", ("_cmod", "_int")),
-    "fadd": ("_float({a}) + _float({b})", ("_float",)),
-    "fsub": ("_float({a}) - _float({b})", ("_float",)),
-    "fmul": ("_float({a}) * _float({b})", ("_float",)),
-    "lt": ("1 if {a} < {b} else 0", ()),
-    "le": ("1 if {a} <= {b} else 0", ()),
-    "gt": ("1 if {a} > {b} else 0", ()),
-    "ge": ("1 if {a} >= {b} else 0", ()),
-    "eq": ("1 if {a} == {b} else 0", ()),
-    "ne": ("1 if {a} != {b} else 0", ()),
-    "and": ("1 if ({a} != 0 and {b} != 0) else 0", ()),
-    "or": ("1 if ({a} != 0 or {b} != 0) else 0", ()),
-    "vmin": ("_min({a}, {b})", ("_min",)),
-    "vmax": ("_max({a}, {b})", ("_max",)),
-    "powr": ("_float({a}) ** _float({b})", ("_float",)),
+# Expression templates: the arithmetic of ``lir_interp._BINOPS`` /
+# ``_UNOPS`` with operands as locals.  The middle field names the
+# coercion the reference applies to every operand (``int``/``float``,
+# or None); the generated code applies it only where
+# :mod:`repro.sim.lir_types` does not prove the operand already has
+# that type, since there it is the identity.
+_BIN_EXPR: Dict[str, Tuple[str, Optional[type], Tuple[str, ...]]] = {
+    "add": ("{a} + {b}", int, ()),
+    "sub": ("{a} - {b}", int, ()),
+    "mul": ("{a} * {b}", int, ()),
+    "div": ("_cdiv({a}, {b})", int, ("_cdiv",)),
+    "mod": ("_cmod({a}, {b})", int, ("_cmod",)),
+    "fadd": ("{a} + {b}", float, ()),
+    "fsub": ("{a} - {b}", float, ()),
+    "fmul": ("{a} * {b}", float, ()),
+    "lt": ("1 if {a} < {b} else 0", None, ()),
+    "le": ("1 if {a} <= {b} else 0", None, ()),
+    "gt": ("1 if {a} > {b} else 0", None, ()),
+    "ge": ("1 if {a} >= {b} else 0", None, ()),
+    "eq": ("1 if {a} == {b} else 0", None, ()),
+    "ne": ("1 if {a} != {b} else 0", None, ()),
+    "and": ("1 if ({a} != 0 and {b} != 0) else 0", None, ()),
+    "or": ("1 if ({a} != 0 or {b} != 0) else 0", None, ()),
+    "vmin": ("_min({a}, {b})", None, ("_min",)),
+    "vmax": ("_max({a}, {b})", None, ("_max",)),
+    "powr": ("{a} ** {b}", float, ()),
 }
 
-_UN_EXPR: Dict[str, Tuple[str, Tuple[str, ...]]] = {
-    "neg": ("-_int({a})", ("_int",)),
-    "fneg": ("-_float({a})", ("_float",)),
-    "not": ("0 if {a} != 0 else 1", ()),
-    "vabs": ("_abs({a})", ("_abs",)),
-    "sqrt": ("_sqrt({a})", ("_sqrt",)),
-    "exp": ("_exp({a})", ("_exp",)),
-    "log": ("_log({a})", ("_log",)),
-    "sin": ("_sin({a})", ("_sin",)),
-    "cos": ("_cos({a})", ("_cos",)),
-    "floorr": ("_floor({a})", ("_floor",)),
-    "ceilr": ("_ceil({a})", ("_ceil",)),
+_UN_EXPR: Dict[str, Tuple[str, Optional[type], Tuple[str, ...]]] = {
+    "neg": ("-{a}", int, ()),
+    "fneg": ("-{a}", float, ()),
+    "not": ("0 if {a} != 0 else 1", None, ()),
+    "vabs": ("_abs({a})", None, ("_abs",)),
+    "sqrt": ("_sqrt({a})", None, ("_sqrt",)),
+    "exp": ("_exp({a})", None, ("_exp",)),
+    "log": ("_log({a})", None, ("_log",)),
+    "sin": ("_sin({a})", None, ("_sin",)),
+    "cos": ("_cos({a})", None, ("_cos",)),
+    "floorr": ("_floor({a})", None, ("_floor",)),
+    "ceilr": ("_ceil({a})", None, ("_ceil",)),
 }
 
 _BUDGET_MSG = "LIR step budget exceeded"
@@ -191,12 +204,17 @@ class _BlockCodegen:
         machine: MachineModel,
         amap: AddressMap,
         profiles: Dict[str, _BlockProfile],
+        types: Optional[TypeMap],
     ):
         self.block = block
         self.module = module
         self.machine = machine
         self.amap = amap
         self.profiles = profiles
+        # Operand types at the current emission point, advanced one
+        # instruction at a time from the block's entry types; None
+        # (an unreachable block) proves nothing.
+        self.types = types
         self.K: List[Any] = []
         self.body: List[str] = []
         self.helpers: List[str] = []  # first-use order
@@ -263,6 +281,20 @@ class _BlockCodegen:
             self.written.append(name)
         return local
 
+    def operand(self, name: str, kind: Optional[type]) -> str:
+        """Register ``name`` as an operand the reference coerces with
+        ``kind`` (``int``/``float``; None: no coercion): the bare local
+        where its type is proven, else the local wrapped in the
+        coercion."""
+        local = self.reg(name)
+        if kind is None or (
+            self.types is not None and self.types.get(name, int) is kind
+        ):
+            return local
+        helper = "_int" if kind is int else "_float"
+        self.helper(helper)
+        return f"{helper}({local})"
+
     def arr(self, name: str) -> str:
         local = self.arrmap.get(name)
         if local is None:
@@ -277,11 +309,11 @@ class _BlockCodegen:
         kme = self.k(self.miss_energy)
         self.body += [
             f"if T[{slot_expr}] == {line_expr}:",
-            "    h = h + 1",
+            " h = h + 1",
             "else:",
-            f"    T[{slot_expr}] = {line_expr}",
-            "    m = m + 1",
-            f"    e = e + {kme}",
+            f" T[{slot_expr}] = {line_expr}",
+            " m = m + 1",
+            f" e = e + {kme}",
         ]
 
     def emit_const_probe(self, flat: int, array: str) -> None:
@@ -361,13 +393,12 @@ class _BlockCodegen:
                 self.body.append(f"{self.wreg(instr.dst)} = {a}.item({kf})")
             return
 
-        self.helper("_int")
         kd = self.k(disp)
         ks = self.k(size)
         self.body += [
-            f"_i = {kd} + _int({self.reg(idx_reg)})",
+            f"_i = {kd} + {self.operand(idx_reg, int)}",
             f"if not 0 <= _i < {ks}:",
-            "    raise InterpError("
+            " raise InterpError("
             f"f\"{word} out of bounds: {name}[{{_i}}] (size {{{ks}}})\")",
         ]
         self.emit_var_probe(name)
@@ -394,6 +425,8 @@ class _BlockCodegen:
                 terminator = (op, instr.label, self.reg(instr.srcs[0]))
                 break
             self.emit_instr(instr)
+            if self.types is not None:
+                step(self.types, instr, self.module.arrays)
         return self.body, terminator
 
     def emit_instr(self, instr) -> None:
@@ -407,20 +440,15 @@ class _BlockCodegen:
             body.append(f"{self.wreg(instr.dst)} = {src}")
             return
         if op == "trunc":
-            self.helper("_int")
-            src = self.reg(instr.srcs[0])
-            body.append(f"{self.wreg(instr.dst)} = _int({src})")
+            src = self.operand(instr.srcs[0], int)
+            body.append(f"{self.wreg(instr.dst)} = {src}")
             return
         if op in ("ld", "st"):
             self.emit_ld_st(instr)
             return
         if op == "fma":
-            self.helper("_float")
-            a, b, c = (self.reg(s) for s in instr.srcs)
-            body.append(
-                f"{self.wreg(instr.dst)} = "
-                f"_float({a}) * _float({b}) + _float({c})"
-            )
+            a, b, c = (self.operand(s, float) for s in instr.srcs)
+            body.append(f"{self.wreg(instr.dst)} = {a} * {b} + {c}")
             return
         if op == "select":
             cond, a, b = (self.reg(s) for s in instr.srcs)
@@ -435,7 +463,7 @@ class _BlockCodegen:
             body += [
                 f"_f = F.get({fname!r})",
                 "if _f is None:",
-                f"    raise InterpError({msg!r})",
+                f" raise InterpError({msg!r})",
             ]
             if instr.dst is not None:
                 body.append(f"{self.wreg(instr.dst)} = _f({args})")
@@ -443,31 +471,30 @@ class _BlockCodegen:
                 body.append(f"_f({args})")
             return
         if op == "fdiv":
-            self.helper("_float")
-            a, b = (self.reg(s) for s in instr.srcs)
+            a, b = (self.operand(s, float) for s in instr.srcs)
             body += [
-                f"_d = _float({b})",
+                f"_d = {b}",
                 "if _d == 0.0:",
-                "    raise InterpError('float division by zero')",
-                f"{self.wreg(instr.dst)} = _float({a}) / _d",
+                " raise InterpError('float division by zero')",
+                f"{self.wreg(instr.dst)} = {a} / _d",
             ]
             return
         template = _BIN_EXPR.get(op)
         if template is not None:
-            expr, helpers = template
+            expr, kind, helpers = template
             for h in helpers:
                 self.helper(h)
-            a, b = (self.reg(s) for s in instr.srcs)
+            a, b = (self.operand(s, kind) for s in instr.srcs)
             body.append(
                 f"{self.wreg(instr.dst)} = " + expr.format(a=a, b=b)
             )
             return
         template = _UN_EXPR.get(op)
         if template is not None:
-            expr, helpers = template
+            expr, kind, helpers = template
             for h in helpers:
                 self.helper(h)
-            a = self.reg(instr.srcs[0])
+            a = self.operand(instr.srcs[0], kind)
             body.append(f"{self.wreg(instr.dst)} = " + expr.format(a=a))
             return
         # Unknown ops raise lazily iff executed, like the closure path.
@@ -475,32 +502,29 @@ class _BlockCodegen:
 
     # -- assembly ---------------------------------------------------------
     def _assemble(self, inner: List[str]) -> str:
-        pre = ["def _make(R, S, mem, F, T, HM, E, ST, CN, TO, K):"]
+        """The factory's source around the block body ``inner``.
+
+        Generated code indents one space per level, emitters included:
+        ``compile`` time is proportional to source bytes, and wider
+        indentation would be a double-digit percentage of them.
+        """
+        lines = ["def _make(R, S, mem, F, T, HM, E, ST, CN, TO, K):"]
         for name in self.helpers:
-            pre.append(f"    {name} = {_HELPERS[name]}")
+            lines.append(f" {name} = {_HELPERS[name]}")
         for name, local in self.arrmap.items():
-            pre.append(f"    {local} = mem[{name!r}]")
+            lines.append(f" {local} = mem[{name!r}]")
         for i in range(len(self.K)):
-            pre.append(f"    k{i} = K[{i}]")
+            lines.append(f" k{i} = K[{i}]")
         if self.preloaded:
-            pre.append("    Rg = R.get")
-        pre.append("    def _block():")
-        lines = [
-            f"        {self.regmap[name]} = Rg({name!r}, 0)"
+            lines.append(" Rg = R.get")
+        lines.append(" def _block():")
+        lines += [
+            f"  {self.regmap[name]} = Rg({name!r}, 0)"
             for name in self.preloaded
         ]
-        lines += inner
-        lines.append("    return _block")
-        # Emission uses 4-space levels for readability; the compiled
-        # form squeezes each level to a single space.  ``compile`` time
-        # is proportional to source bytes and indentation is a double-
-        # digit percentage of them; no generated line starts inside a
-        # string literal, so leading whitespace is always layout.
-        out = []
-        for line in pre + lines:
-            n = len(line) - len(line.lstrip(" "))
-            out.append(" " * (n // 4) + line[n:])
-        return "\n".join(out) + "\n"
+        lines += ["  " + s for s in inner]
+        lines.append(" return _block")
+        return "\n".join(lines) + "\n"
 
     def _writebacks(self) -> List[str]:
         return [
@@ -528,13 +552,10 @@ class _BlockCodegen:
             cmp = "==" if terminator[0] == "brf" else "!="
             inner += [
                 f"if {terminator[2]} {cmp} 0:",
-                f"    return {terminator[1]!r}",
+                f" return {terminator[1]!r}",
                 "return None",
             ]
-        return (
-            self._assemble(["        " + s for s in inner]),
-            tuple(self.K),
-        )
+        return self._assemble(inner), tuple(self.K)
 
     def generate_self_loop(
         self, block_idx: int, max_steps: int
@@ -573,27 +594,24 @@ class _BlockCodegen:
         inner.append("while True:")
         loop: List[str] = []
         loop += stmts
-        loop += [f"if {term[2]} {cmp} 0:", "    break"]
+        loop += [f"if {term[2]} {cmp} 0:", " break"]
         loop += [
             f"_st = _st + {ks}",
             f"if _st > {kmax}:",
-            "    ST[0] = _st",
-            f"    CN[{ki}] = CN[{ki}] + _cn",
-            f"    raise InterpError({_BUDGET_MSG!r})",
+            " ST[0] = _st",
+            f" CN[{ki}] = CN[{ki}] + _cn",
+            f" raise InterpError({_BUDGET_MSG!r})",
             "_cn = _cn + 1",
             f"e = e + {kpe}",
         ]
-        inner += ["    " + s for s in loop]
+        inner += [" " + s for s in loop]
         inner += ["ST[0] = _st", f"CN[{ki}] = CN[{ki}] + _cn"]
         inner.append("E[0] = e")
         if self.has_probe:
             inner += ["HM[0] = HM[0] + h", "HM[1] = HM[1] + m"]
         inner += self._writebacks()
         inner.append("return None")
-        return (
-            self._assemble(["        " + s for s in inner]),
-            tuple(self.K),
-        )
+        return self._assemble(inner), tuple(self.K)
 
 
 class ExecCompiledInterpreter(LIRInterpreter):
@@ -603,7 +621,9 @@ class ExecCompiledInterpreter(LIRInterpreter):
     :meth:`metrics`, both strictly equal to running the closure
     interpreter under ``executor._DynamicTimingObserver``.  Raises
     ``ValueError`` (V217) for a module whose blocks' executed mix is
-    path-dependent.
+    path-dependent.  The blocks are specialized to the operand types
+    of a run that starts from the registers and spill slots ``env``
+    seeds, so call :meth:`run` once.
     """
 
     def __init__(
@@ -630,6 +650,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
         self._exec_counts: List[int] = [0] * len(module.order)
         self._touched: List[int] = []
         self._self_loops = _self_loops(module)
+        self._entry_types: Optional[Dict[str, Optional[TypeMap]]] = None
         super().__init__(
             module, env=env, functions=functions, max_steps=max_steps
         )
@@ -637,21 +658,32 @@ class ExecCompiledInterpreter(LIRInterpreter):
             ops[0] for ops in self._program
         ]
 
-    # Called by the base __init__ for each block in module.order.
-    def _compile_block(
-        self, block: Block, wants_instr: bool, wants_mem: bool
-    ) -> List[Callable[[], Optional[str]]]:
+    def _block_source(self, block: Block) -> Tuple[str, Tuple[Any, ...]]:
+        """Generated source and constants tuple for ``block``."""
+        if self._entry_types is None:
+            # The base constructor has seeded the registers and spill
+            # from ``env`` by the time it compiles the first block.
+            self._entry_types = block_entry_types(
+                self.module, self.regs, self.spill
+            )
+        types = self._entry_types[block.name]
         gen = _BlockCodegen(
-            block, self.module, self.machine, self._amap, self._profiles
+            block, self.module, self.machine, self._amap, self._profiles,
+            None if types is None else dict(types),
         )
         if block.name in self._self_loops:
             # _block_index is not built yet when the base constructor
             # compiles blocks; order.index is fine at this frequency.
-            source, K = gen.generate_self_loop(
+            return gen.generate_self_loop(
                 self.module.order.index(block.name), self.max_steps
             )
-        else:
-            source, K = gen.generate()
+        return gen.generate()
+
+    # Called by the base __init__ for each block in module.order.
+    def _compile_block(
+        self, block: Block, wants_instr: bool, wants_mem: bool
+    ) -> List[Callable[[], Optional[str]]]:
+        source, K = self._block_source(block)
         code = _CODE_CACHE.get(source)
         if code is None:
             if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:

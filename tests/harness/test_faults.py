@@ -17,9 +17,11 @@ container resolves the default to one CPU, which would silently take
 the in-process path.
 """
 
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -308,6 +310,29 @@ class TestGuardedPooled:
         failure = outcomes[2].failure
         assert failure.kind == "timeout"
         assert "wall-clock limit" in failure.message
+
+    def test_timed_out_worker_is_stopped(self):
+        """Teardown kills the hung worker instead of leaving it asleep
+        for the rest of its 60 s hang (and the interpreter's exit
+        waiting on it)."""
+        before = {p.pid for p in multiprocessing.active_children()}
+        outcomes = execute_guarded(
+            _double, [0, 1], workers=2,
+            policy=FaultPolicy(
+                timeout_s=1, fault_plan=FaultPlan.parse("hang:0@60")
+            ),
+        )
+        assert outcomes[0].failure.kind == "timeout"
+        assert outcomes[1].value == 2
+        deadline = time.monotonic() + 5
+        while True:
+            # active_children() reaps the dead, so a pid leaves the
+            # set once its process is gone.
+            alive = {p.pid for p in multiprocessing.active_children()}
+            if not alive - before:
+                break
+            assert time.monotonic() < deadline, alive - before
+            time.sleep(0.05)
 
     def test_timeout_retry_succeeds_when_hang_is_transient(self):
         outcomes = execute_guarded(

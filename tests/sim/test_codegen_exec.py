@@ -10,6 +10,11 @@ the block profiles.  Every workload, on every machine, must produce
 strict — exact ints, exact float ``repr`` for energy, and identical
 dict insertion order for ``op_counts``/``block_executions`` — because
 the sweep digest gate depends on all of it.
+
+The generated blocks leave out ``int()``/``float()`` coercions where
+:mod:`repro.sim.lir_types` proves the operand's type.  Hand-built
+modules and a fixed fuzz sample pin the cases where a coercion must
+stay, down to the raw register file.
 """
 
 import numpy as np
@@ -17,6 +22,12 @@ import pytest
 
 from repro.backend.compiler import FinalCompiler
 from repro.backend.lir import Instr, Module
+from repro.core.pipeline import slms
+from repro.fuzz.generator import PROFILES, case_seeds, generate_case
+from repro.fuzz.oracle import make_env
+from repro.harness.experiment import transform_kernel
+from repro.harness.sweep import DEFAULT_PAIRS
+from repro.lang.parser import parse_program
 from repro.machines import machine_by_name
 from repro.sim.codegen_exec import ExecCompiledInterpreter, _self_loops
 from repro.sim.executor import (
@@ -40,11 +51,13 @@ def _compile(workload_name: str, machine_name: str = "itanium2",
     return compiled, machine
 
 
-def _reference(module, machine, max_steps=50_000_000):
+def _reference(module, machine, env=None, max_steps=50_000_000):
     """Run the per-instruction reference: closure interpreter plus
     observer."""
     observer = _DynamicTimingObserver(module, machine)
-    interp = LIRInterpreter(module, observer=observer, max_steps=max_steps)
+    interp = LIRInterpreter(
+        module, env=env, observer=observer, max_steps=max_steps
+    )
     state = interp.run()
     return ExecutionResult(state=state, metrics=observer.metrics)
 
@@ -76,6 +89,42 @@ def _assert_matches_reference(module, machine):
     reference = _reference(module, machine)
     _assert_states_identical(fast.state, reference.state)
     _assert_metrics_identical(fast.metrics, reference.metrics)
+
+
+def _typed_items(values):
+    return sorted((key, repr(value)) for key, value in values.items())
+
+
+def _assert_same_run(module, env=None, machine=None, functions=None):
+    """``execute`` equals the reference bit for bit, or raises the same
+    error (type and message).  A run that completes must also leave the
+    same raw register file and spill slots, where a wrongly dropped
+    ``int()``/``float()`` shows up as an ``int`` vs ``float`` repr even
+    when the source-level state would convert it away.  Returns the
+    reference's exception, if any."""
+    machine = machine or machine_by_name("itanium2")
+    observer = _DynamicTimingObserver(module, machine)
+    ref = LIRInterpreter(
+        module, env=env, functions=functions, observer=observer
+    )
+    try:
+        ref_state = ref.run()
+    except Exception as exc:
+        with pytest.raises(Exception) as err:
+            execute(module, machine, env=env, functions=functions)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+        return exc
+    fast = execute(module, machine, env=env, functions=functions)
+    _assert_states_identical(fast.state, ref_state)
+    _assert_metrics_identical(fast.metrics, observer.metrics)
+    interp = ExecCompiledInterpreter(
+        module, machine, env=env, functions=functions
+    )
+    interp.run()
+    assert _typed_items(interp.regs) == _typed_items(ref.regs)
+    assert _typed_items(interp.spill) == _typed_items(ref.spill)
+    return None
 
 
 class TestEquivalenceAllWorkloads:
@@ -200,3 +249,336 @@ class TestObserverCompat:
         LIRInterpreter(module, observer=observer).run()
         assert observer.instrs == 2
         assert observer.blocks == 1
+
+
+# -- operand-type specialization ------------------------------------------
+
+
+def _module(blocks, scalars=(), arrays=None, slots=None):
+    """A hand-built module: ``blocks`` maps block name → instructions in
+    fallthrough order; ``scalars`` are (name, register, type) triples."""
+    module = Module()
+    for name, instrs in blocks.items():
+        module.new_block(name).instrs.extend(instrs)
+    for name, reg, typ in scalars:
+        module.scalar_regs[name] = reg
+        module.scalar_types[name] = typ
+    module.arrays.update(arrays or {})
+    module.scalar_slots.update(slots or {})
+    return module
+
+
+def _movi(dst, imm):
+    return Instr("movi", dst=dst, imm=imm)
+
+
+def _op(op, dst, *srcs):
+    return Instr(op, dst=dst, srcs=srcs)
+
+
+def _br(label):
+    return Instr("br", label=label)
+
+
+def _brf(cond, label):
+    return Instr("brf", srcs=(cond,), label=label)
+
+
+def _spill_st(src, slot):
+    return Instr("st", srcs=(src,), array="__spill", disp=slot)
+
+
+def _spill_ld(dst, slot):
+    return Instr("ld", dst=dst, array="__spill", disp=slot)
+
+
+def _sources(module, env=None):
+    """Generated source per block, for a run seeded from ``env``."""
+    interp = ExecCompiledInterpreter(
+        module, machine_by_name("itanium2"), env=env
+    )
+    return {
+        name: interp._block_source(module.blocks[name])[0]
+        for name in module.order
+    }
+
+
+def _loop_body(source):
+    """The ``while True:`` body of a loop superblock's source."""
+    lines = source.splitlines()
+    head = next(
+        i for i, line in enumerate(lines) if line.strip() == "while True:"
+    )
+    depth = len(lines[head]) - len(lines[head].lstrip(" "))
+    body = []
+    for line in lines[head + 1:]:
+        if len(line) - len(line.lstrip(" ")) <= depth:
+            break
+        body.append(line)
+    return "\n".join(body)
+
+
+class TestTypeSpecializationSoundness:
+    """Modules where an ``int()``/``float()`` coercion must survive
+    because the operand's type is not proven.  Each op reads its
+    operand with both types across the parametrizations, so an analysis
+    that dropped the coercion changes a register's value or type (or
+    the error raised)."""
+
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("imms", [(3, 2.5), (2.5, 3)], ids=str)
+    def test_register_int_on_one_path_float_on_the_other(self, c, imms):
+        module = _module(
+            {
+                "entry": [_brf("c", "other")],
+                "then": [_movi("r1", imms[0]), _br("join")],
+                "other": [_movi("r1", imms[1])],
+                "join": [
+                    _op("mul", "r2", "r1", "r1"),
+                    _op("fadd", "r3", "r1", "r1"),
+                    _op("trunc", "r4", "r1"),
+                ],
+            },
+            scalars=[("c", "c", "int")],
+        )
+        assert _assert_same_run(module, env={"c": c}) is None
+        sources = _sources(module, {"c": c})
+        assert "_int(" in sources["join"] and "_float(" in sources["join"]
+        # Each path's own constant is proven; only the join is not.
+        assert "_int(" not in sources["then"] + sources["other"]
+
+    @pytest.mark.parametrize(
+        "x", [3, True, np.float64(1.5), 2.5], ids=repr
+    )
+    def test_float_scalar_seeded_from_env(self, x):
+        """A float scalar's register and spill slot hold the ``env``
+        value as given, so a Python int (or a bool, or a numpy float)
+        stays unproven; only an exact ``float`` drops the coercion."""
+        module = _module(
+            {
+                "entry": [
+                    _op("fadd", "f1", "x", "x"),
+                    _op("fmul", "f2", "x", "x"),
+                    _op("fma", "f3", "x", "x", "x"),
+                    _op("fdiv", "f4", "x", "x"),
+                    _op("fneg", "f5", "x"),
+                    _spill_ld("f6", 0),
+                    _op("fsub", "f7", "f6", "x"),
+                ],
+            },
+            scalars=[("x", "x", "float"), ("y", "y", "float")],
+            slots={"y": 0},
+        )
+        env = {"x": x, "y": x}
+        assert _assert_same_run(module, env=env) is None
+        proven = type(x) is float
+        assert ("_float(" not in _sources(module, env)["entry"]) == proven
+
+    @pytest.mark.parametrize("base", [-8.0, 8.0])
+    def test_powr_result_may_be_complex(self, base):
+        module = _module(
+            {
+                "entry": [
+                    _movi("f1", base),
+                    _movi("f2", 0.5),
+                    _op("powr", "f3", "f1", "f2"),
+                    _op("fadd", "f4", "f3", "f2"),
+                ],
+            }
+        )
+        exc = _assert_same_run(module)
+        # (-8.0) ** 0.5 is complex, and float() of it raises.
+        assert isinstance(exc, TypeError) == (base < 0)
+
+    @pytest.mark.parametrize("c", [0, 1])
+    @pytest.mark.parametrize("int_path", ["store", "unwritten"])
+    def test_spill_slot_int_on_one_path_float_on_the_other(
+        self, c, int_path
+    ):
+        then = [_movi("r1", 3)]
+        if int_path == "store":
+            then.append(_spill_st("r1", 2))
+        module = _module(
+            {
+                "entry": [_brf("c", "other")],
+                "then": then + [_br("join")],
+                "other": [_movi("r2", 2.5), _spill_st("r2", 2)],
+                "join": [
+                    _spill_ld("r3", 2),
+                    _op("mul", "r4", "r3", "r3"),
+                    _op("fadd", "r5", "r3", "r3"),
+                ],
+            },
+            scalars=[("c", "c", "int")],
+        )
+        assert _assert_same_run(module, env={"c": c}) is None
+
+    def test_self_loop_carried_register_turns_float(self):
+        """``acc`` enters the loop as int 1 and leaves the first
+        iteration as float 1.5: the superblock runs every iteration
+        from the fixpoint type at its head, which is unknown."""
+        module = _module(
+            {
+                "entry": [
+                    _movi("acc", 1),
+                    _movi("i", 0),
+                    _movi("one", 1),
+                    _movi("n", 3),
+                    _movi("half", 0.5),
+                ],
+                "loop": [
+                    _op("mul", "t", "acc", "acc"),
+                    _op("fadd", "acc", "acc", "half"),
+                    _op("add", "i", "i", "one"),
+                    _op("lt", "c", "i", "n"),
+                    Instr("brt", srcs=("c",), label="loop"),
+                ],
+            }
+        )
+        assert _self_loops(module) == {"loop"}
+        assert _assert_same_run(module) is None
+        body = _loop_body(_sources(module)["loop"])
+        assert body.count("_int(") == 2  # mul of acc; i's add is proven
+        assert body.count("_float(") == 1  # acc, not half
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_select_vmin_vmax_vabs_over_mixed_types(self, k):
+        picks = [
+            _op("vmin", "m1", "a", "b"),  # -2.5, the second operand
+            _op("vmax", "m2", "b", "a"),  # 3, the second operand
+            _op("select", "s", "k", "a", "b"),
+            _op("vabs", "v1", "m1"),
+            _op("vabs", "v2", "s"),
+        ]
+        uses = [
+            _op(op, f"{op}_{pick.dst}", pick.dst, pick.dst)
+            for pick in picks
+            for op in ("mul", "fadd")
+        ]
+        module = _module(
+            {"entry": [_movi("a", 3), _movi("b", -2.5)] + picks + uses},
+            scalars=[("k", "k", "int")],
+        )
+        assert _assert_same_run(module, env={"k": k}) is None
+
+    def test_float_immediate_feeding_integer_ops(self):
+        module = _module(
+            {
+                "entry": [
+                    _movi("x", 2.5),
+                    _movi("y", 1.5),
+                    _op("mul", "p", "x", "x"),
+                    _op("add", "q", "x", "y"),
+                    _op("div", "d", "x", "y"),
+                    _op("mod", "r", "x", "y"),
+                    _op("neg", "n", "x"),
+                    _op("trunc", "t", "y"),
+                    Instr("ld", dst="e", srcs=("y",), array="A"),
+                    Instr("st", srcs=("x", "y"), array="A", disp=1),
+                ],
+            },
+            arrays={"A": ((4,), "int")},
+        )
+        assert _assert_same_run(module) is None
+
+    @pytest.mark.parametrize(
+        "instrs,message",
+        [
+            (
+                [_movi("x", 5.5), Instr("ld", dst="e", srcs=("x",),
+                                        array="A")],
+                "ld out of bounds: A[5] (size 4)",
+            ),
+            (
+                [_movi("one", 1), _movi("z", 0.5),
+                 _op("div", "q", "one", "z")],
+                "integer division by zero",
+            ),
+        ],
+        ids=["index", "divisor"],
+    )
+    def test_float_immediate_errors_like_the_reference(
+        self, instrs, message
+    ):
+        module = _module({"entry": instrs}, arrays={"A": ((4,), "float")})
+        exc = _assert_same_run(module)
+        assert isinstance(exc, InterpError) and str(exc) == message
+
+    def test_call_result_is_unknown(self):
+        module = _module(
+            {
+                "entry": [
+                    _movi("x", 3),
+                    Instr("call", dst="y", srcs=("x",), name="half"),
+                    _op("mul", "z", "y", "y"),
+                    _op("fadd", "w", "x", "y"),
+                ],
+            }
+        )
+        functions = {"half": lambda v: v / 2}
+        assert _assert_same_run(module, functions=functions) is None
+
+    def test_unreachable_block_keeps_every_coercion(self):
+        module = _module(
+            {
+                "entry": [_movi("x", 1), _br("end")],
+                "dead": [_op("add", "y", "x", "x")],
+                "end": [_op("add", "z", "x", "x")],
+            }
+        )
+        assert _assert_same_run(module) is None
+        sources = _sources(module)
+        assert "_int(" in sources["dead"]
+        assert "_int(" not in sources["end"]
+
+
+# A fixed sample of fuzz programs, every profile in turn: int/float
+# mixes, spills and env-seeded stores the corpus does not have.
+_FUZZ_SAMPLE = [
+    (sorted(PROFILES)[i % len(PROFILES)], seed)
+    for i, seed in enumerate(case_seeds(2026, 28))
+]
+
+
+class TestFuzzSampleMatchesReference:
+    @pytest.mark.parametrize(
+        "profile,seed", _FUZZ_SAMPLE,
+        ids=[f"{p}-{s}" for p, s in _FUZZ_SAMPLE],
+    )
+    def test_every_paper_pair(self, profile, seed):
+        case = generate_case(seed, profile)
+        program = parse_program(case.source)
+        variants = [program]
+        outcome = slms(program)
+        if outcome.any_applied:
+            variants.append(outcome.program)
+        env = make_env(case)
+        for machine_name, compiler in DEFAULT_PAIRS:
+            machine = machine_by_name(machine_name)
+            for variant in variants:
+                compiled = FinalCompiler(machine, compiler).compile(
+                    variant.clone()
+                )
+                _assert_same_run(compiled.module, env=env, machine=machine)
+
+
+class TestLoopSuperblocksAreTyped:
+    @pytest.mark.parametrize("machine_name,compiler", DEFAULT_PAIRS)
+    def test_no_int_coercion_inside_corpus_loops(
+        self, machine_name, compiler
+    ):
+        """Every integer operand inside a corpus loop superblock is
+        proven int.  An op added without a type rule makes its result
+        unknown and puts ``_int(`` back into the hot loops."""
+        machine = machine_by_name(machine_name)
+        for wl in WORKLOADS:
+            for program in (wl.full_program(), transform_kernel(wl)[0]):
+                module = FinalCompiler(machine, compiler).compile(
+                    program
+                ).module
+                interp = ExecCompiledInterpreter(module, machine)
+                for name in _self_loops(module):
+                    source, _ = interp._block_source(module.blocks[name])
+                    assert "_int(" not in _loop_body(source), (
+                        wl.name, name
+                    )
