@@ -19,6 +19,7 @@ Operation classes used throughout the backend:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -41,7 +42,14 @@ class CacheConfig:
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Per-event energy in picojoules (Sim-Panalyzer-style accounting)."""
+    """Per-event energy in picojoules (Sim-Panalyzer-style accounting).
+
+    Every coefficient must be a finite, integral number of picojoules.
+    The simulator's fast path multiplies per-block energies by execution
+    counts where the reference adds per event; with integer-valued
+    doubles below 2**53 both sums are exact, so they agree to the last
+    bit.
+    """
 
     energy_per_op: Mapping[str, float] = field(
         default_factory=lambda: {
@@ -55,6 +63,24 @@ class PowerProfile:
     )
     energy_per_cycle: float = 60.0  # clock tree + leakage per cycle
     energy_cache_miss: float = 2800.0  # line fill from memory
+
+    def __post_init__(self) -> None:
+        coefficients = [
+            (f"energy_per_op[{cls!r}]", value)
+            for cls, value in self.energy_per_op.items()
+        ]
+        coefficients += [
+            ("energy_per_cycle", self.energy_per_cycle),
+            ("energy_cache_miss", self.energy_cache_miss),
+        ]
+        for name, value in coefficients:
+            if not (
+                isinstance(value, numbers.Real) and float(value).is_integer()
+            ):
+                raise ValueError(
+                    f"PowerProfile.{name} must be a finite, integral "
+                    f"number of picojoules, got {value!r}"
+                )
 
     def op_energy(self, op_class: str) -> float:
         return self.energy_per_op.get(op_class, 100.0)

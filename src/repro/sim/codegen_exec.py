@@ -6,7 +6,7 @@ every block's executed prefix is invariant (a conditional branch ends
 its block — IR check V217; see
 :func:`repro.sim.executor._profile_blocks`), the whole block can
 instead be generated as *one* Python function: instruction
-semantics, the direct-mapped cache probe and the timing/energy
+semantics, the direct-mapped cache probe and the step and miss
 accounting are inlined into straight-line source that is ``compile``'d
 once per distinct block shape and ``exec``'d once per block instance.
 
@@ -15,8 +15,8 @@ whose fallthrough body ends in an unconditional branch straight back
 to it (the classic ``for``-loop shape the backend emits) is compiled
 into a *loop superblock* — one function containing a ``while`` that
 runs the entire loop, keeping registers in Python locals across
-iterations and charging step/count/energy accounting per iteration
-exactly as the per-block dispatch loop would have.
+iterations and charging the step budget and execution count per
+iteration exactly as the per-block dispatch loop would have.
 
 This is the simulator's only execution path
 (:func:`repro.sim.executor.execute`).  Strict equivalence with the
@@ -37,33 +37,37 @@ operation for operation:
   when their first use is a read, and written back before every return
   point; a mid-block exception loses uncommitted locals, which is
   unobservable because callers discard state and metrics on error;
-* energy is a float: the generated code threads a single energy cell
-  through one fixed sequence — the block's profiled energy at entry,
-  then ``energy_cache_miss + penalty * energy_per_cycle`` per miss in
-  access order.  The reference adds the same terms per instruction;
-  the sums agree exactly because every preset's energy coefficients
-  are integral picojoules;
 * the cache probe inlines :class:`~repro.sim.cache.DirectMappedCache`
   (``line = addr // line_bytes; slot = line % num_lines``) against a
   shared tags list, and addresses inline the
   :class:`~repro.sim.cache.AddressMap` layout, spill region included;
+  the probe counts only misses;
 * bounds checks raise :class:`~repro.sim.interp.InterpError` with the
-  reference interpreter's exact messages, and run before the probe,
-  which runs before the access;
+  reference interpreter's exact messages (through :func:`_oob`), and
+  run before the probe, which runs before the access;
 * the step budget is charged per block entry (full static block
   length) and checked before the block body runs, inside the fused
   loop too;
-* integer metrics (cycles, instructions, op mix, block executions) are
+* every metric but the miss count — cycles, instructions, op mix,
+  block executions, memory accesses, cache hits and energy — is
   derived after the run from per-block execution counts kept in
   first-execution order, so even dict insertion order matches the
-  reference.
+  reference (:meth:`ExecCompiledInterpreter.metrics`).  The derived
+  energy equals the reference's per-event float sum exactly because
+  :class:`~repro.machines.model.PowerProfile` rejects any coefficient
+  that is not an integral number of picojoules: every term and partial
+  sum is then an integer-valued double far below 2**53.
 
 Numeric constants — displacements, sizes, base addresses, cache
-geometry, energies, immediates, step budgets — are embedded in the
-source as literals (LOAD_CONST in the fused loops, no unpack
-preamble); only values without an exact literal spelling ride the
-per-instance constants tuple ``K``.  The source → code-object cache
-still dedups identical blocks within a machine.
+geometry, immediates, step budgets — are embedded in the source as
+literals (LOAD_CONST in the fused loops, no unpack preamble); only
+values without an exact literal spelling ride the per-instance
+constants tuple ``K``.  Register names are not in the source: a
+block's registers are the locals ``r0, r1, …`` in first-touch order,
+and their names ride the per-instance names tuple ``N``, read only at
+block entry and exit.  Blocks that differ only in register naming, or
+run on machines that differ only in energy coefficients, therefore
+share one source and one ``_CODE_CACHE`` code object.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 from repro.backend.lir import Block, Module
 from repro.machines.model import MachineModel
 from repro.sim.cache import AddressMap
-from repro.sim.executor import ExecutionMetrics, _BlockProfile, _profile_blocks
+from repro.sim.executor import ExecutionMetrics, _profile_blocks
 from repro.sim.interp import InterpError, _c_div, _c_mod
 from repro.sim.lir_interp import LIRInterpreter
 from repro.sim.lir_types import TypeMap, block_entry_types, step
@@ -85,12 +89,20 @@ from repro.sim.lir_types import TypeMap, block_entry_types, step
 _CODE_CACHE: Dict[str, Any] = {}
 _CODE_CACHE_LIMIT = 4096
 
+
+def _oob(word: str, name: str, flat: int, size: int) -> None:
+    """Raise the reference's out-of-bounds error for ``word`` (``ld`` or
+    ``st``) at ``name[flat]``."""
+    raise InterpError(f"{word} out of bounds: {name}[{flat}] (size {size})")
+
+
 # Exec-time globals for generated factories.  ``int``/``float`` etc.
 # come from builtins; only the non-builtin helpers need to be provided.
 _EXEC_GLOBALS = {
     "InterpError": InterpError,
     "_c_div": _c_div,
     "_c_mod": _c_mod,
+    "_oob": _oob,
     "math": math,
 }
 
@@ -156,6 +168,10 @@ _UN_EXPR: Dict[str, Tuple[str, Optional[type], Tuple[str, ...]]] = {
 
 _BUDGET_MSG = "LIR step budget exceeded"
 
+# One generated block: its factory source, the constants tuple ``K`` and
+# the register names tuple ``N`` that the factory is called with.
+_Generated = Tuple[str, Tuple[Any, ...], Tuple[str, ...]]
+
 
 def _first_branch(block: Block) -> Optional[int]:
     """Position of the first control-transfer instruction, or None."""
@@ -194,8 +210,8 @@ def _self_loops(module: Module) -> set:
 
 
 class _BlockCodegen:
-    """Generates the fused source + constants tuple for one block (or a
-    cond+body loop superblock)."""
+    """Generates the fused source, constants tuple and register names
+    tuple for one block (or a cond+body loop superblock)."""
 
     def __init__(
         self,
@@ -203,14 +219,11 @@ class _BlockCodegen:
         module: Module,
         machine: MachineModel,
         amap: AddressMap,
-        profiles: Dict[str, _BlockProfile],
         types: Optional[TypeMap],
     ):
         self.block = block
         self.module = module
-        self.machine = machine
         self.amap = amap
-        self.profiles = profiles
         # Operand types at the current emission point, advanced one
         # instruction at a time from the block's entry types; None
         # (an unreachable block) proves nothing.
@@ -218,7 +231,9 @@ class _BlockCodegen:
         self.K: List[Any] = []
         self.body: List[str] = []
         self.helpers: List[str] = []  # first-use order
-        self.regmap: Dict[str, str] = {}
+        # Register name → i: the block holds it in local ``r{i}`` and
+        # reads its name as ``n{i}`` from the per-instance names tuple.
+        self.regmap: Dict[str, int] = {}
         self.arrmap: Dict[str, str] = {}
         self.written: List[str] = []  # register names, first-write order
         # Registers whose first touch is a read need an ``R.get``
@@ -226,16 +241,10 @@ class _BlockCodegen:
         # locals (their pre-block value is dead).
         self.preloaded: List[str] = []
         self.has_probe = False
-        # Derived machine constants (folded exactly as the observer
-        # computes them).
         cache = machine.cache
         self.word = cache.word_bytes
         self.line = cache.line_bytes
         self.nlines = cache.num_lines
-        self.miss_energy = (
-            machine.power.energy_cache_miss
-            + cache.miss_penalty * machine.power.energy_per_cycle
-        )
 
     # -- symbol helpers -------------------------------------------------
     def k(self, value: Any) -> str:
@@ -244,13 +253,14 @@ class _BlockCodegen:
         Plain ints and finite floats are inlined as literals: their
         ``repr`` round-trips exactly, LOAD_CONST beats the closure-cell
         load inside fused loops, and the ``kN = K[N]`` preamble was a
-        measurable slice of what the sweep spends in ``compile``.
-        (Lifting bought almost no code-object sharing in practice —
-        register naming already forks the source per machine.)
-        Negative values are parenthesized so they drop into any
-        expression context.  Everything else — non-finite floats have
-        no literal spelling, bools must stay distinct from ints —
-        still rides the per-instance ``K`` tuple.
+        measurable slice of what the sweep spends in ``compile``.  The
+        price is sharing: literals still fork the source per array
+        layout and cache geometry (lifting them too would merge a full
+        sweep's 1,440 distinct block sources into 643).  Negative
+        values are parenthesized so they drop into any expression
+        context.  Everything else — non-finite floats have no literal
+        spelling, bools must stay distinct from ints — still rides the
+        per-instance ``K`` tuple.
         """
         if type(value) is int or (
             type(value) is float and math.isfinite(value)
@@ -265,21 +275,19 @@ class _BlockCodegen:
             self.helpers.append(name)
 
     def reg(self, name: str) -> str:
-        local = self.regmap.get(name)
-        if local is None:
-            local = f"r{len(self.regmap)}"
-            self.regmap[name] = local
+        i = self.regmap.get(name)
+        if i is None:
+            i = self.regmap[name] = len(self.regmap)
             self.preloaded.append(name)
-        return local
+        return f"r{i}"
 
     def wreg(self, name: str) -> str:
-        local = self.regmap.get(name)
-        if local is None:
-            local = f"r{len(self.regmap)}"
-            self.regmap[name] = local
+        i = self.regmap.get(name)
+        if i is None:
+            i = self.regmap[name] = len(self.regmap)
         if name not in self.written:
             self.written.append(name)
-        return local
+        return f"r{i}"
 
     def operand(self, name: str, kind: Optional[type]) -> str:
         """Register ``name`` as an operand the reference coerces with
@@ -304,17 +312,12 @@ class _BlockCodegen:
 
     # -- accounting fragments -------------------------------------------
     def emit_probe(self, line_expr: str, slot_expr: str) -> None:
-        """Inline DirectMappedCache.access + the miss charge."""
+        """Inline DirectMappedCache.access, counting only the misses."""
         self.has_probe = True
-        kme = self.k(self.miss_energy)
-        self.body += [
-            f"if T[{slot_expr}] == {line_expr}:",
-            " h = h + 1",
-            "else:",
-            f" T[{slot_expr}] = {line_expr}",
-            " m = m + 1",
-            f" e = e + {kme}",
-        ]
+        self.body.append(
+            f"if T[{slot_expr}] != {line_expr}: "
+            f"T[{slot_expr}] = {line_expr}; m = m + 1"
+        )
 
     def emit_const_probe(self, flat: int, array: str) -> None:
         addr = self.amap.bases[array] + flat * self.word
@@ -378,12 +381,11 @@ class _BlockCodegen:
         for d in dims:
             size *= d
         a = self.arr(name)
-        word = "st" if is_store else "ld"
+        oob = f"_oob({instr.op!r}, {name!r}, "
 
         if idx_reg is None:
             if not 0 <= disp < size:
-                msg = f"{word} out of bounds: {name}[{disp}] (size {size})"
-                self.body.append(f"raise InterpError({msg!r})")
+                self.body.append(f"{oob}{self.k(disp)}, {self.k(size)})")
                 return
             self.emit_const_probe(disp, name)
             kf = self.k(disp)
@@ -397,9 +399,7 @@ class _BlockCodegen:
         ks = self.k(size)
         self.body += [
             f"_i = {kd} + {self.operand(idx_reg, int)}",
-            f"if not 0 <= _i < {ks}:",
-            " raise InterpError("
-            f"f\"{word} out of bounds: {name}[{{_i}}] (size {{{ks}}})\")",
+            f"if not 0 <= _i < {ks}: {oob}_i, {ks})",
         ]
         self.emit_var_probe(name)
         if is_store:
@@ -501,48 +501,45 @@ class _BlockCodegen:
         body.append(f"raise InterpError({f'unknown LIR op {op!r}'!r})")
 
     # -- assembly ---------------------------------------------------------
-    def _assemble(self, inner: List[str]) -> str:
-        """The factory's source around the block body ``inner``.
+    def _assemble(self, inner: List[str]) -> _Generated:
+        """The factory's source around the block body ``inner``, and
+        the constants and register names tuples to call it with.
 
         Generated code indents one space per level, emitters included:
         ``compile`` time is proportional to source bytes, and wider
         indentation would be a double-digit percentage of them.
         """
-        lines = ["def _make(R, S, mem, F, T, HM, E, ST, CN, TO, K):"]
+        lines = ["def _make(R, S, mem, F, T, M, ST, CN, K, N):"]
         for name in self.helpers:
             lines.append(f" {name} = {_HELPERS[name]}")
         for name, local in self.arrmap.items():
             lines.append(f" {local} = mem[{name!r}]")
         for i in range(len(self.K)):
             lines.append(f" k{i} = K[{i}]")
+        if self.regmap:
+            names = "".join(f"n{i}, " for i in range(len(self.regmap)))
+            lines.append(f" {names}= N")
         if self.preloaded:
             lines.append(" Rg = R.get")
         lines.append(" def _block():")
-        lines += [
-            f"  {self.regmap[name]} = Rg({name!r}, 0)"
-            for name in self.preloaded
-        ]
+        for name in self.preloaded:
+            i = self.regmap[name]
+            lines.append(f"  r{i} = Rg(n{i}, 0)")
         lines += ["  " + s for s in inner]
         lines.append(" return _block")
-        return "\n".join(lines) + "\n"
+        source = "\n".join(lines) + "\n"
+        return source, tuple(self.K), tuple(self.regmap)
 
     def _writebacks(self) -> List[str]:
-        return [
-            f"R[{name!r}] = {self.regmap[name]}" for name in self.written
-        ]
+        return [f"R[n{i}] = r{i}" for i in map(self.regmap.get, self.written)]
 
-    def generate(self) -> Tuple[str, Tuple[Any, ...]]:
+    def generate(self) -> _Generated:
         """Single-block fused function."""
-        kpe = self.k(self.profiles[self.block.name].energy)
         stmts, terminator = self.emit_body(self.block)
-        inner: List[str] = []
-        if self.has_probe:
-            inner += ["h = 0", "m = 0", f"e = E[0] + {kpe}"]
-        else:
-            inner.append(f"E[0] = E[0] + {kpe}")
+        inner: List[str] = ["m = 0"] if self.has_probe else []
         inner += stmts
         if self.has_probe:
-            inner += ["E[0] = e", "HM[0] = HM[0] + h", "HM[1] = HM[1] + m"]
+            inner.append("M[0] = M[0] + m")
         inner += self._writebacks()
         if terminator is None:
             inner.append("return None")
@@ -555,22 +552,20 @@ class _BlockCodegen:
                 f" return {terminator[1]!r}",
                 "return None",
             ]
-        return self._assemble(inner), tuple(self.K)
+        return self._assemble(inner)
 
     def generate_self_loop(
         self, block_idx: int, max_steps: int
-    ) -> Tuple[str, Tuple[Any, ...]]:
+    ) -> _Generated:
         """Loop superblock for a bottom-test self-loop.
 
         The caller's dispatch loop charges the first entry (steps,
         budget, counts); every back-edge re-entry is charged here, in
         the same order the per-block loop would: charge+check, count,
-        block energy, block body.  Registers stay in Python locals
-        across iterations; the register file is only read on entry and
-        written on exit.
+        block body.  Registers stay in Python locals across iterations;
+        the register file is only read on entry and written on exit.
         """
         block = self.block
-        kpe = self.k(self.profiles[block.name].energy)
         stmts, term = self.emit_body(block)
         assert term is not None and term[0] in ("brf", "brt")
         assert term[1] == block.name
@@ -581,10 +576,7 @@ class _BlockCodegen:
         ki = self.k(block_idx)
         kmax = self.k(max_steps)
 
-        inner: List[str] = []
-        if self.has_probe:
-            inner += ["h = 0", "m = 0"]
-        inner.append(f"e = E[0] + {kpe}")
+        inner: List[str] = ["m = 0"] if self.has_probe else []
         # Steps and the per-block count accumulate in locals across
         # iterations; the shared cells are only read on entry and
         # written on exit — and, for steps, at the budget raise, where
@@ -602,16 +594,14 @@ class _BlockCodegen:
             f" CN[{ki}] = CN[{ki}] + _cn",
             f" raise InterpError({_BUDGET_MSG!r})",
             "_cn = _cn + 1",
-            f"e = e + {kpe}",
         ]
         inner += [" " + s for s in loop]
         inner += ["ST[0] = _st", f"CN[{ki}] = CN[{ki}] + _cn"]
-        inner.append("E[0] = e")
         if self.has_probe:
-            inner += ["HM[0] = HM[0] + h", "HM[1] = HM[1] + m"]
+            inner.append("M[0] = M[0] + m")
         inner += self._writebacks()
         inner.append("return None")
-        return self._assemble(inner), tuple(self.K)
+        return self._assemble(inner)
 
 
 class ExecCompiledInterpreter(LIRInterpreter):
@@ -644,8 +634,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
         # Tags as a dense list with a -1 sentinel: line numbers are
         # always >= 0, so this is observationally the empty tags dict.
         self._tags: List[int] = [-1] * machine.cache.num_lines
-        self._hm: List[int] = [0, 0]  # hits, misses
-        self._energy: List[float] = [0.0]
+        self._misses: List[int] = [0]
         self._steps_cell: List[int] = [0]
         self._exec_counts: List[int] = [0] * len(module.order)
         self._touched: List[int] = []
@@ -658,8 +647,9 @@ class ExecCompiledInterpreter(LIRInterpreter):
             ops[0] for ops in self._program
         ]
 
-    def _block_source(self, block: Block) -> Tuple[str, Tuple[Any, ...]]:
-        """Generated source and constants tuple for ``block``."""
+    def _block_source(self, block: Block) -> _Generated:
+        """Generated source, constants tuple and register names tuple
+        for ``block``."""
         if self._entry_types is None:
             # The base constructor has seeded the registers and spill
             # from ``env`` by the time it compiles the first block.
@@ -668,7 +658,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
             )
         types = self._entry_types[block.name]
         gen = _BlockCodegen(
-            block, self.module, self.machine, self._amap, self._profiles,
+            block, self.module, self.machine, self._amap,
             None if types is None else dict(types),
         )
         if block.name in self._self_loops:
@@ -683,7 +673,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
     def _compile_block(
         self, block: Block, wants_instr: bool, wants_mem: bool
     ) -> List[Callable[[], Optional[str]]]:
-        source, K = self._block_source(block)
+        source, K, names = self._block_source(block)
         code = _CODE_CACHE.get(source)
         if code is None:
             if len(_CODE_CACHE) >= _CODE_CACHE_LIMIT:
@@ -694,8 +684,8 @@ class ExecCompiledInterpreter(LIRInterpreter):
         exec(code, namespace)
         fn = namespace["_make"](
             self.regs, self.spill, self.memory, self.functions,
-            self._tags, self._hm, self._energy, self._steps_cell,
-            self._exec_counts, self._touched, K,
+            self._tags, self._misses, self._steps_cell, self._exec_counts,
+            K, names,
         )
         return [fn]
 
@@ -736,11 +726,20 @@ class ExecCompiledInterpreter(LIRInterpreter):
     def metrics(self) -> ExecutionMetrics:
         """Assemble ExecutionMetrics equal to the reference observer's.
 
-        Integer totals are linear in per-block execution counts; dict
-        insertion order is reconstructed from first-execution order.
+        Every total but the miss count is linear in per-block execution
+        counts: memory accesses are the executed ``mem`` ops, hits are
+        the accesses that did not miss, and energy is each block's
+        profiled energy per execution plus the fill and stall energy
+        per miss.  Dict insertion order is reconstructed from
+        first-execution order.
         """
-        hits, misses = self._hm
-        cycles = misses * self.machine.cache.miss_penalty
+        misses = self._misses[0]
+        penalty = self.machine.cache.miss_penalty
+        power = self.machine.power
+        cycles = misses * penalty
+        energy = misses * (
+            power.energy_cache_miss + penalty * power.energy_per_cycle
+        )
         instructions = 0
         op_counts: Dict[str, int] = {}
         block_executions: Dict[str, int] = {}
@@ -752,15 +751,17 @@ class ExecCompiledInterpreter(LIRInterpreter):
             block_executions[name] = count
             cycles += profile.cost * count
             instructions += profile.instructions * count
+            energy += profile.energy * count
             for cls, per_exec in profile.op_items:
                 op_counts[cls] = op_counts.get(cls, 0) + per_exec * count
+        accesses = op_counts.get("mem", 0)
         return ExecutionMetrics(
             cycles=cycles,
             instructions=instructions,
-            mem_accesses=hits + misses,
-            cache_hits=hits,
+            mem_accesses=accesses,
+            cache_hits=accesses - misses,
             cache_misses=misses,
-            energy_pj=self._energy[0],
+            energy_pj=float(energy),
             op_counts=op_counts,
             block_executions=block_executions,
         )

@@ -1,5 +1,8 @@
 """Machine model and preset tests."""
 
+import dataclasses
+import re
+
 import pytest
 
 from repro.machines import (
@@ -96,3 +99,26 @@ class TestPowerProfile:
             arm7tdmi().power.op_energy("alu")
             < itanium2().power.op_energy("alu")
         )
+
+    @pytest.mark.parametrize("name", sorted(ALL_MACHINES))
+    def test_presets_pass_the_coefficient_check(self, name):
+        power = machine_by_name(name).power
+        assert dataclasses.replace(power) == power  # re-runs the check
+
+    @pytest.mark.parametrize(
+        "kwargs,field",
+        [
+            ({"energy_per_cycle": 60.5}, "energy_per_cycle"),
+            ({"energy_cache_miss": float("inf")}, "energy_cache_miss"),
+            ({"energy_per_op": {"alu": 120.0, "mem": 0.25}},
+             "energy_per_op['mem']"),
+            ({"energy_per_op": {"fadd": float("nan")}},
+             "energy_per_op['fadd']"),
+        ],
+        ids=["fraction", "infinite", "op-fraction", "op-nan"],
+    )
+    def test_non_integral_coefficient_rejected(self, kwargs, field):
+        """The fast path's derived energy equals the reference's
+        per-event sum only for integral picojoules."""
+        with pytest.raises(ValueError, match=re.escape(f"{field} must")):
+            PowerProfile(**kwargs)

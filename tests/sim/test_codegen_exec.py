@@ -15,7 +15,16 @@ The generated blocks leave out ``int()``/``float()`` coercions where
 :mod:`repro.sim.lir_types` proves the operand's type.  Hand-built
 modules and a fixed fuzz sample pin the cases where a coercion must
 stay, down to the raw register file.
+
+A cache whose geometry is not a power of two pins the probe's
+``//``/``%`` branch, which no preset reaches.  The generated source
+holds neither register names nor energies, so blocks of one shape
+share a code object; the last tests pin that.
 """
+
+import ast
+import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -29,6 +38,8 @@ from repro.harness.experiment import transform_kernel
 from repro.harness.sweep import DEFAULT_PAIRS
 from repro.lang.parser import parse_program
 from repro.machines import machine_by_name
+from repro.machines.model import CacheConfig, PowerProfile
+from repro.sim import codegen_exec
 from repro.sim.codegen_exec import ExecCompiledInterpreter, _self_loops
 from repro.sim.executor import (
     ExecutionResult,
@@ -292,10 +303,10 @@ def _spill_ld(dst, slot):
     return Instr("ld", dst=dst, array="__spill", disp=slot)
 
 
-def _sources(module, env=None):
+def _sources(module, env=None, machine=None):
     """Generated source per block, for a run seeded from ``env``."""
     interp = ExecCompiledInterpreter(
-        module, machine_by_name("itanium2"), env=env
+        module, machine or machine_by_name("itanium2"), env=env
     )
     return {
         name: interp._block_source(module.blocks[name])[0]
@@ -578,7 +589,169 @@ class TestLoopSuperblocksAreTyped:
                 ).module
                 interp = ExecCompiledInterpreter(module, machine)
                 for name in _self_loops(module):
-                    source, _ = interp._block_source(module.blocks[name])
+                    source = interp._block_source(module.blocks[name])[0]
                     assert "_int(" not in _loop_body(source), (
                         wl.name, name
                     )
+
+
+# -- cache geometry that is not a power of two ------------------------------
+
+# 48-byte lines, 50 of them: the probe computes line and slot with
+# ``//`` and ``%`` instead of shift and mask.  No preset has this shape.
+_ODD_CACHE_MACHINE = dataclasses.replace(
+    machine_by_name("itanium2"),
+    cache=CacheConfig(size_bytes=2400, line_bytes=48),
+)
+
+
+class TestNonPowerOfTwoCache:
+    @pytest.mark.parametrize("compiler", ["gcc_O3", "icc_O3"])
+    @pytest.mark.parametrize(
+        "workload", ["daxpy", "kernel1", "kernel7", "btrix"]
+    )
+    def test_corpus_base_and_slms(self, workload, compiler):
+        machine = _ODD_CACHE_MACHINE
+        wl = get_workload(workload)
+        for program in (wl.full_program(), transform_kernel(wl)[0]):
+            module = FinalCompiler(machine, compiler).compile(program).module
+            source = "".join(_sources(module, machine=machine).values())
+            assert "// 48" in source and "% 50" in source
+            assert _assert_same_run(module, machine=machine) is None
+
+    def test_spill_and_array_traffic(self):
+        """Spill slots and two arrays whose strided accesses keep
+        evicting each other's lines, in a fused loop."""
+        module = _module(
+            {
+                "entry": [
+                    _movi("i", 0),
+                    _movi("n", 90),
+                    _movi("one", 1),
+                    _movi("three", 3),
+                    _movi("x", 0.5),
+                    _spill_st("x", 0),
+                ],
+                "loop": [
+                    _op("mul", "j", "i", "three"),
+                    Instr("ld", dst="a", srcs=("j",), array="A", disp=5),
+                    Instr("ld", dst="b", srcs=("i",), array="B"),
+                    _spill_ld("s", 0),
+                    _op("fadd", "s", "s", "a"),
+                    _op("fmul", "s", "s", "b"),
+                    _spill_st("s", 0),
+                    _spill_st("i", 7),
+                    Instr("st", srcs=("s", "j"), array="A", disp=1),
+                    _op("add", "i", "i", "one"),
+                    _op("lt", "c", "i", "n"),
+                    Instr("brt", srcs=("c",), label="loop"),
+                ],
+                "exit": [_spill_ld("y", 0), _spill_ld("k", 7)],
+            },
+            scalars=[("y", "y", "float"), ("k", "k", "int")],
+            arrays={"A": ((300,), "float"), "B": ((97,), "float")},
+        )
+        env = {
+            "A": np.linspace(0.0, 1.0, 300),
+            "B": np.linspace(1.0, 2.0, 97),
+        }
+        assert _self_loops(module) == {"loop"}
+        assert _assert_same_run(
+            module, env=env, machine=_ODD_CACHE_MACHINE
+        ) is None
+
+
+# -- one code object per block shape ----------------------------------------
+
+
+def _registers(module):
+    names = set(module.scalar_regs.values())
+    for block in module.blocks.values():
+        for instr in block.instrs:
+            names.update(instr.srcs)
+            if instr.dst is not None:
+                names.add(instr.dst)
+    return names
+
+
+def _renamed(module):
+    """A copy of ``module`` with every register consistently renamed,
+    in reverse name order."""
+    registers = sorted(_registers(module))
+    rename = {
+        reg: f"q{len(registers) - i}" for i, reg in enumerate(registers)
+    }
+    copied = copy.deepcopy(module)
+    for block in copied.blocks.values():
+        for instr in block.instrs:
+            instr.srcs = tuple(rename[reg] for reg in instr.srcs)
+            if instr.dst is not None:
+                instr.dst = rename[instr.dst]
+    copied.scalar_regs = {
+        name: rename[reg] for name, reg in copied.scalar_regs.items()
+    }
+    return copied
+
+
+class TestOneCodeObjectPerShape:
+    @pytest.mark.parametrize("workload", ["kernel1", "btrix"])
+    def test_register_renaming_shares_source_and_code(
+        self, workload, monkeypatch
+    ):
+        compiled, machine = _compile(workload, compiler="icc_O3")
+        module = compiled.module
+        renamed = _renamed(module)
+        assert not _registers(module) & _registers(renamed)
+        sources = _sources(module)
+        assert _sources(renamed) == sources
+        monkeypatch.setattr(codegen_exec, "_CODE_CACHE", {})
+        ExecCompiledInterpreter(module, machine)
+        ExecCompiledInterpreter(renamed, machine)
+        assert len(codegen_exec._CODE_CACHE) == len(set(sources.values()))
+        # The names tuple carries the renaming into the register file.
+        assert _assert_same_run(renamed) is None
+        _assert_states_identical(
+            execute(renamed, machine).state, execute(module, machine).state
+        )
+
+    def test_energy_coefficients_stay_out_of_the_source(self):
+        compiled, machine = _compile("kernel1", compiler="icc_O3")
+        module = compiled.module
+        repowered = dataclasses.replace(
+            machine,
+            power=PowerProfile(
+                energy_per_op={"alu": 7.0, "mem": 3.0, "fmul": 11.0},
+                energy_per_cycle=5.0,
+                energy_cache_miss=900.0,
+            ),
+        )
+        assert _sources(module, machine=repowered) == _sources(module)
+        assert _assert_same_run(module, machine=repowered) is None
+        assert (
+            execute(module, repowered).metrics.energy_pj
+            != execute(module, machine).metrics.energy_pj
+        )
+
+    @pytest.mark.parametrize("machine_name,compiler", DEFAULT_PAIRS)
+    def test_no_register_name_or_fstring_in_corpus_sources(
+        self, machine_name, compiler
+    ):
+        machine = machine_by_name(machine_name)
+        for wl in WORKLOADS:
+            for program in (wl.full_program(), transform_kernel(wl)[0]):
+                module = FinalCompiler(machine, compiler).compile(
+                    program
+                ).module
+                registers = _registers(module)
+                for name, source in _sources(module, machine=machine).items():
+                    nodes = list(ast.walk(ast.parse(source)))
+                    assert not any(
+                        isinstance(node, ast.JoinedStr) for node in nodes
+                    ), (wl.name, name)
+                    strings = {
+                        node.value
+                        for node in nodes
+                        if isinstance(node, ast.Constant)
+                        and isinstance(node.value, str)
+                    }
+                    assert not strings & registers, (wl.name, name)
