@@ -43,14 +43,11 @@ for (j = 4; j < 100; j = j + 2) {
 
 def report(tag: str, source: str, options: SLMSOptions):
     from repro.core.explain import explain
-    from repro.lang.ast_nodes import For
 
-    prog = parse_program(SETUP + source)
-    outcome = slms(prog, options)
+    outcome = slms(parse_program(SETUP + source), options)
     kernel = outcome.loops[-1]
-    loops = [s for s in prog.body if isinstance(s, For)]
     print(f"--- {tag}: the SLC's report ---")
-    print(explain(loops[-1], kernel))
+    print(explain(kernel.loop, kernel))
     return outcome
 
 

@@ -90,10 +90,6 @@ class AffineExpr:
     def is_constant(self) -> bool:
         return self.coeff == 0 and not self.syms
 
-    @property
-    def has_symbols(self) -> bool:
-        return bool(self.syms)
-
     def same_shape(self, other: "AffineExpr") -> bool:
         """True when the two expressions differ only in the constant term.
 

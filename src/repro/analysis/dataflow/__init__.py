@@ -17,9 +17,9 @@ The package provides one generic engine and three concrete analyses:
   analysis with condition refinement on branch edges, the engine behind
   ``slms lint``'s array-bounds proofs.
 
-``slms lint`` (:mod:`repro.verify.lint`) and the applicability advisor
-(:mod:`repro.core.advisor`) consume the statement-level analyses; see
-``docs/ANALYSIS.md`` for the lattice/transfer definitions.  The
+``slms lint`` (:mod:`repro.verify.lint`) consumes the statement-level
+analyses; see ``docs/ANALYSIS.md`` for the lattice/transfer
+definitions.  The
 simulator's LIR operand-type analysis (:mod:`repro.sim.lir_types`)
 runs the same solver over a block-level CFG.
 """

@@ -19,7 +19,7 @@ without widening; the hook defaults to identity-on-``new``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List, Optional
 
 from repro.analysis.dataflow.cfg import CFG, CFGNode
 
@@ -71,10 +71,6 @@ class DataflowResult:
 
     def value_in(self, node_id: int) -> Any:
         return self.inputs.get(node_id)
-
-    def value_out(self, node_id: int) -> Any:
-        return self.outputs.get(node_id)
-
 
 def solve(cfg: CFG, analysis: DataflowAnalysis) -> DataflowResult:
     """Iterate ``analysis`` over ``cfg`` to its least fixpoint."""
@@ -141,9 +137,3 @@ def solve(cfg: CFG, analysis: DataflowAnalysis) -> DataflowResult:
                 worklist.append(succ)
         worklist.sort(key=lambda i: position.get(i, len(order)))
     return result
-
-
-def iterate_nodes(cfg: CFG, kinds: Iterable[str] = ("stmt", "branch")):
-    """Convenience: nodes of the given kinds in source order."""
-    wanted = set(kinds)
-    return [n for n in cfg.nodes if n.kind in wanted]

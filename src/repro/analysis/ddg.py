@@ -101,9 +101,6 @@ class DependenceGraph:
     def loop_carried(self) -> List[Dependence]:
         return [e for e in self.edges if e.distance >= 1]
 
-    def edges_between(self, src: int, dst: int) -> List[Dependence]:
-        return [e for e in self.edges if e.src == src and e.dst == dst]
-
     def self_edges(self, mi: int) -> List[Dependence]:
         return [e for e in self.edges if e.src == mi and e.dst == mi]
 

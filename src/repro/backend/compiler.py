@@ -82,19 +82,6 @@ class CompiledProgram:
     def ims_applied(self) -> bool:
         return any(r.success for r in self.ims_reports)
 
-    def loop_bundle_counts(self) -> Dict[str, int]:
-        """Bundles (cycles) per loop-body execution — the paper's IA-64
-        "bundles in the loop body" metric."""
-        out: Dict[str, int] = {}
-        for loop in self.module.loops:
-            block = self.module.blocks[loop.body_block]
-            out[loop.body_block] = (
-                block.ims_ii
-                if block.ims_ii is not None
-                else (block.schedule_length or len(block.instrs))
-            )
-        return out
-
 
 class FinalCompiler:
     """Compile source programs for a machine at a given preset."""

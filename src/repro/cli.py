@@ -65,11 +65,10 @@ Subcommands
     shows the informational findings.
 
 ``slms advise FILE``
-    Static SLMS applicability: predict — without running the scheduler
-    — whether each innermost loop will be pipelined or declined (and
-    why), its recMII floor and expected II/stage counts, with
-    actionable suggestions.  The same advisor backs ``slms explain``'s
-    advice section.
+    SLMS applicability: the driver's own verdict on each innermost
+    loop — pipelined or declined, and why — with its recMII floor,
+    II/stage counts and actionable suggestions (``--json`` for the
+    ``slms-advise/1`` payload).
 
 ``slms report``
     Dashboard over the run ledger: every ``sweep``/``bench``/``fuzz``/
@@ -171,9 +170,7 @@ def _cmd_transform(args: argparse.Namespace) -> int:
 def _cmd_explain(args: argparse.Namespace) -> int:
     from repro import SLMSOptions, slms
     from repro.core.explain import ddg_to_dot, explain
-    from repro.lang.ast_nodes import For, While
     from repro.lang.parser import parse_program
-    from repro.lang.visitors import walk
 
     source = _read_source(args.file)
     program = parse_program(source)
@@ -195,21 +192,11 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         allow_reassociation=args.allow_reassociation,
     )
     outcome = slms(program, options)
-
-    # Pair reports with the attempted loops, in traversal order.
-    def innermost_loops(node):
-        for child in walk(node):
-            if isinstance(child, For) and not any(
-                isinstance(g, (For, While)) for s in child.body for g in walk(s)
-            ):
-                yield child
-
-    loops = list(innermost_loops(program))
-    for idx, (loop, report) in enumerate(zip(loops, outcome.loops)):
+    for idx, report in enumerate(outcome.loops):
         if idx:
             print()
         print(f"===== loop {idx} =====")
-        print(explain(loop, report))
+        print(explain(report.loop, report))
         if args.dot and report.ddg is not None:
             print()
             print(ddg_to_dot(report.ddg, report.final_mis or None))
@@ -318,8 +305,8 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 
 def _cmd_advise(args: argparse.Namespace) -> int:
-    """Static SLMS applicability report: predicted verdict, recMII floor,
-    and actionable suggestions — without running the scheduler."""
+    """SLMS applicability report: the driver's verdict per loop, its
+    recMII floor, and actionable suggestions."""
     from repro.core.advisor import render_advice
     from repro.serve.session import Session, options_from_params
 
@@ -1219,18 +1206,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_lint.set_defaults(func=_cmd_lint)
 
     p_advise = sub.add_parser(
-        "advise", help="static SLMS applicability: predicted verdict, "
-        "recMII floor, and suggestions (no scheduling)"
+        "advise", help="SLMS applicability: the driver's verdict per "
+        "loop, recMII floor, and suggestions"
     )
     p_advise.add_argument("file")
     p_advise.add_argument("--force", action="store_true",
-                          help="predict with the §4 filter bypassed")
+                          help="advise with the §4 filter bypassed")
     p_advise.add_argument("--no-filter", action="store_true")
     p_advise.add_argument("--json", action="store_true",
-                          help="emit the per-loop predictions as JSON")
+                          help="emit the per-loop advice as JSON")
     p_advise.add_argument(
         "--scheduler", default="heuristic", metavar="NAME",
-        help="predict with this scheduling backend "
+        help="advise with this scheduling backend "
         "(heuristic or exact; docs/SCHEDULERS.md)",
     )
     p_advise.add_argument(

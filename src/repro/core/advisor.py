@@ -1,32 +1,17 @@
-"""Static SLMS applicability advisor (``slms advise``).
+"""SLMS applicability advisor (``slms advise``).
 
-Predicts, for every innermost canonical-candidate loop, whether
-:func:`repro.core.slms.slms_for_loop` would apply or decline — and with
-*exactly which reason string* — without running the scheduler, the
-expansion passes, or the emitter.  The prediction reuses the pipeline's
-own front half (loop-shape recognition, the §4 filter, if-conversion,
-MI partitioning, the DDG, and the II search) and then decides the
-emission stage arithmetically:
+For every loop the SLMS driver attempts, reports whether
+:func:`repro.core.pipeline.slms` pipelines or declines it — with the
+driver's exact reason string — and the facts that verdict rests on: II,
+stage and MI counts, the recurrence-MII floor (``pmii_difmin``, the hard
+lower bound no amount of decomposition or expansion can beat), the
+scheduling backend's report, the trip count and the §4 memory-reference
+ratio, plus actionable suggestions keyed to the decline.
 
-* the MVE path declines iff ``trip_count < ceil(n_mis / II)``;
-* the scalar-expansion and plain paths decline with the
-  ``ShortTripCount`` message under the same condition (scalar expansion
-  rewrites MIs in place, so the stage count is unchanged);
-* symbolic trip counts never decline at emission — the schedule gets a
-  runtime guard instead.
-
-Alongside the verdict the advisor reports the recurrence-MII floor
-(``pmii_difmin``) whenever a precise dependence graph exists — the
-hard lower bound no amount of decomposition or expansion can beat —
-plus actionable suggestions keyed to the predicted decline.
-
-``tests/analysis/test_advisor.py`` holds the gate: prediction must
-equal the actual driver outcome (verdict *and* reason) on the entire
-workload corpus.
-
-Known limit: §5 reduction lane splitting (``reduction_lanes >= 2``)
-can rescue a loop the plain path declines; the advisor predicts the
-un-split path and says so in a suggestion.
+The advice is a view of the driver's own per-loop reports, so it equals
+what ``slms transform`` does under every option, §5 reduction lane
+splitting included; producing it costs one ``slms()`` run, scheduling,
+expansion and emission included.
 """
 
 from __future__ import annotations
@@ -34,43 +19,32 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from repro.analysis.ddg import build_ddg
 from repro.analysis.loopinfo import LoopInfo
-from repro.core.decompose import decompose_mi
-from repro.core.filters import bad_case_filter
-from repro.core.if_conversion import if_convert
-from repro.core.mi import NotPartitionable, partition_mis
-from repro.core.mii import find_valid_ii, pmii_difmin
-from repro.core.mve import plan_rotations
-from repro.core.names import NamePool, all_names
-from repro.core.schedulers import get_scheduler
-from repro.core.pipeline import _collect_types
-from repro.core.schedule import ShortTripCount
-from repro.core.slms import SLMSOptions, _has_inner_control
-from repro.lang.ast_nodes import For, Program, Stmt, While
+from repro.core.mii import pmii_difmin
+from repro.core.pipeline import slms
+from repro.core.slms import SLMSOptions, SLMSResult
+from repro.lang.ast_nodes import Program
 from repro.obs import get_metrics, get_tracer
 
 
 @dataclass
 class Advice:
-    """Predicted outcome for one loop."""
+    """The driver's outcome for one loop, as advice."""
 
     line: int
     verdict: str  # "apply" | "decline"
-    reason: str = ""  # the exact reason string slms_for_loop would report
+    reason: str = ""  # the driver's decline reason, verbatim
     rec_mii: Optional[int] = None  # recurrence-MII floor (pmii_difmin)
     ii: Optional[int] = None
     stages: Optional[int] = None
     n_mis: Optional[int] = None
-    # Scheduler-backend prediction (docs/SCHEDULERS.md): mirrors the
-    # driver's placement refinement so prediction == actual holds for
-    # every backend, not just the paper's.
+    # Scheduler-backend report (docs/SCHEDULERS.md).
     scheduler: str = "heuristic"
     res_mii: Optional[int] = None  # source-level resMII (machine FU mix)
     heuristic_ii: Optional[int] = None
     sched_proven: Optional[bool] = None
     decompositions: int = 0
-    expansion: Optional[str] = None  # predicted strategy when applying
+    expansion: Optional[str] = None  # the strategy when applying
     unroll: int = 1
     trip_count: Optional[int] = None
     memory_ref_ratio: Optional[float] = None
@@ -162,215 +136,39 @@ def _suggest_for(reason: str) -> List[str]:
     ]
 
 
-def advise_loop(
-    loop: For,
-    pool: NamePool,
-    options: Optional[SLMSOptions] = None,
-    types: Optional[Dict[str, str]] = None,
-) -> Advice:
-    """Predict :func:`slms_for_loop`'s outcome for one loop."""
-    options = options or SLMSOptions()
-    types = dict(types or {})
-    line = loop.loc.line if loop.loc else 0
-
-    def declined(reason: str, **kw) -> Advice:
-        advice = Advice(
-            line=line, verdict="decline", reason=reason,
-            suggestions=_suggest_for(reason), **kw,
-        )
-        if options.reduction_lanes >= 2:
-            advice.suggestions.append(
-                "reduction lane splitting is enabled; a reduction loop "
-                "may still pipeline via the lane-split path"
-            )
-        return advice
-
-    # ---- step 0: canonical shape (mirrors slms_for_loop) ----------------
-    info = LoopInfo.from_for(loop)
-    if info is None:
-        return declined("loop is not in canonical counted form")
-    control = _has_inner_control(loop.body)
-    if control is not None:
-        return declined(control)
-    trip = info.trip_count
-
-    # ---- step 1: §4 bad-case filter --------------------------------------
-    verdict = bad_case_filter(
-        loop.body,
-        info.var,
-        ratio_threshold=options.ratio_threshold,
-        min_arith_per_ref=options.min_arith_per_ref,
+def _advice(report: SLMSResult) -> Advice:
+    """The advice view of one driver report."""
+    loop = report.loop
+    advice = Advice(
+        line=loop.loc.line if loop.loc else 0,
+        verdict="apply" if report.applied else "decline",
+        reason=report.reason,
+        rec_mii=report.pmii,
+        ii=report.ii,
+        stages=report.stages,
+        n_mis=report.n_mis,
+        scheduler=report.scheduler,
+        res_mii=report.res_mii,
+        heuristic_ii=report.heuristic_ii,
+        sched_proven=report.sched_proven,
+        decompositions=report.decompositions,
+        expansion=report.expansion if report.applied else None,
+        unroll=report.unroll,
+        suggestions=_suggest_for(report.reason),
     )
-    ratio = round(verdict.memory_ref_ratio, 6)
-    if options.enable_filter and not options.force and not verdict.apply_slms:
-        advice = declined(
-            verdict.reason, trip_count=trip, memory_ref_ratio=ratio
-        )
+    verdict = report.filter_verdict
+    if verdict is None:  # declined on loop shape, before the §4 filter
+        return advice
+    advice.trip_count = LoopInfo.from_for(loop).trip_count
+    advice.memory_ref_ratio = round(verdict.memory_ref_ratio, 6)
+    if report.ii is None and report.ddg is not None and report.ddg.precise:
+        # No valid II: the driver gave up before pricing the recurrence.
+        advice.rec_mii = pmii_difmin(report.ddg)
+    if not verdict.apply_slms and report.reason == verdict.reason:
         advice.suggestions.append(
             "pass --force (or disable the filter) to pipeline anyway"
         )
-        return advice
-
-    # ---- steps 2+3: if-conversion, MI partition --------------------------
-    converted = if_convert([s.clone() for s in loop.body], pool)
-    types.update((p, "int") for p in converted.predicates)
-    try:
-        partition = partition_mis(
-            converted.stmts, info.var, pool, elem_types=types
-        )
-    except NotPartitionable as exc:
-        return declined(
-            str(exc), trip_count=trip, memory_ref_ratio=ratio
-        )
-    types.update((d.name, d.type) for d in partition.hoisted_decls)
-    mis = partition.mis
-    if not mis:
-        return declined(
-            "empty loop body", trip_count=trip, memory_ref_ratio=ratio
-        )
-
-    # ---- §3.2 second form: resource-driven decomposition ------------------
-    if options.resource_limits is not None:
-        from repro.core.decompose import decompose_by_resources
-        from repro.core.slms import _infer_type
-
-        max_loads, max_arith = options.resource_limits
-        changed = True
-        rounds = 0
-        while changed and rounds < options.max_decompositions:
-            changed = False
-            for pos, stmt in enumerate(mis):
-                parts = decompose_by_resources(
-                    stmt, max_loads, max_arith, pool
-                )
-                if parts is not None:
-                    temp = parts[0].target.name
-                    types[temp] = _infer_type(parts[0].value, types)
-                    mis = mis[:pos] + parts + mis[pos + 1:]
-                    changed = True
-                    rounds += 1
-                    break
-
-    # ---- steps 4+5: DDG, II search, decomposition loop --------------------
-    from repro.core.slms import _element_type
-
-    decompositions = 0
-    while True:
-        graph = build_ddg(mis, info)
-        if not graph.precise:
-            return declined(
-                "imprecise dependences: " + "; ".join(graph.reasons),
-                trip_count=trip, memory_ref_ratio=ratio,
-            )
-        ii = find_valid_ii(graph, len(mis)) if len(mis) >= 2 else None
-        if ii is not None:
-            break
-        if decompositions >= options.max_decompositions:
-            return declined(
-                "no valid II after maximum decompositions",
-                rec_mii=pmii_difmin(graph),
-                n_mis=len(mis),
-                decompositions=decompositions,
-                trip_count=trip, memory_ref_ratio=ratio,
-            )
-        for pos, stmt in enumerate(mis):
-            decomposition = decompose_mi(stmt, mis, info, pool)
-            if decomposition is not None:
-                mis = (
-                    mis[:pos]
-                    + [decomposition.load_mi, decomposition.rest_mi]
-                    + mis[pos + 1:]
-                )
-                types[decomposition.temp] = _element_type(
-                    decomposition.array, types
-                )
-                decompositions += 1
-                break
-        else:
-            return declined(
-                "no MI can be decomposed (§5 failure case)",
-                n_mis=len(mis),
-                decompositions=decompositions,
-                trip_count=trip, memory_ref_ratio=ratio,
-            )
-
-    # ---- placement refinement, mirroring slms_for_loop exactly ------------
-    heuristic_ii = ii
-    backend = get_scheduler(
-        options.scheduler, budget_nodes=options.sched_budget
-    )
-    floor = 1
-    if trip is not None and trip > 0:
-        floor = max(1, -(-len(mis) // trip))
-    sched = backend.refine(graph, heuristic_ii, min_ii=floor)
-    if not sched.is_identity:
-        mis = [mis[m] for m in sched.order]
-        graph = build_ddg(mis, info)
-    ii = sched.ii
-
-    res_mii = None
-    if options.machine is not None:
-        from repro.core.schedulers import resource_mii
-        from repro.machines.presets import machine_by_name
-
-        res_mii = resource_mii(mis, machine_by_name(options.machine), types)
-
-    pmii = pmii_difmin(graph)
-    stages = -(-len(mis) // ii)
-    facts = dict(
-        rec_mii=pmii, ii=ii, stages=stages, n_mis=len(mis),
-        decompositions=decompositions, trip_count=trip,
-        memory_ref_ratio=ratio, scheduler=options.scheduler,
-        res_mii=res_mii, heuristic_ii=heuristic_ii,
-        sched_proven=(
-            sched.proven_optimal if options.scheduler != "heuristic" else None
-        ),
-    )
-
-    # ---- step 6, decided arithmetically -----------------------------------
-    expansion = options.expansion
-    literal_bounds = trip is not None and info.step > 0
-
-    if expansion in ("auto", "mve") and literal_bounds:
-        plans = plan_rotations(mis, info, ii, pool)
-        if plans and len(plans[0].names) <= options.max_unroll:
-            if trip < stages:
-                # apply_mve's ValueError, verbatim
-                return declined("trip count below stage count", **facts)
-            return _apply(
-                line, expansion="mve",
-                unroll=len(plans[0].names), **facts,
-            )
-        expansion = "none" if expansion == "auto" else expansion
-
-    if expansion == "scalar" and literal_bounds:
-        # Scalar expansion preserves the MI count, so the stage count
-        # build_modulo_schedule recomputes equals ours.
-        if trip < stages:
-            return declined(str(ShortTripCount(trip, stages)), **facts)
-        return _apply(line, expansion="scalar", **facts)
-
-    if expansion == "mve" and not literal_bounds:
-        return declined(
-            "MVE requires literal bounds and a positive step", **facts
-        )
-    if expansion == "scalar" and not literal_bounds:
-        return declined(
-            "scalar expansion requires literal bounds and a positive step",
-            **facts,
-        )
-
-    if trip is not None and trip < stages:
-        return declined(str(ShortTripCount(trip, stages)), **facts)
-    return _apply(line, expansion="none", **facts)
-
-
-def _apply(line: int, expansion: str, unroll: int = 1, **facts) -> Advice:
-    advice = Advice(
-        line=line, verdict="apply", expansion=expansion,
-        unroll=unroll, **facts,
-    )
-    if facts.get("trip_count") is None:
+    if report.applied and advice.trip_count is None:
         advice.suggestions.append(
             "bounds are symbolic: the schedule will carry a runtime "
             "trip-count guard and expansion is unavailable"
@@ -382,23 +180,9 @@ def advise_program(
     program: Program,
     options: Optional[SLMSOptions] = None,
 ) -> List[Advice]:
-    """One :class:`Advice` per loop the pipeline would attempt, in the
-    pipeline's own traversal order."""
-    options = options or SLMSOptions()
-    pool = NamePool(all_names(program))
-    types = _collect_types(program)
-    advices: List[Advice] = []
-
-    def visit(stmts: List[Stmt]) -> None:
-        for stmt in stmts:
-            if isinstance(stmt, For) and _is_innermost(stmt):
-                advices.append(advise_loop(stmt, pool, options, types))
-            elif isinstance(stmt, (For, While)):
-                visit(stmt.body)
-
-    from repro.core.pipeline import _is_innermost
-
-    visit(program.body)
+    """One :class:`Advice` per loop :func:`repro.core.pipeline.slms`
+    attempts, in the driver's own traversal order."""
+    advices = [_advice(report) for report in slms(program, options).loops]
     tracer = get_tracer()
     if tracer.enabled:
         tracer.event(

@@ -9,6 +9,10 @@ ahead of the loop, and a per-loop report is returned.
 :func:`slms_loop` is the one-loop convenience used throughout the tests
 and examples: give it source text (or a parsed program), get back the
 transformed program plus the :class:`~repro.core.slms.SLMSResult`.
+
+Each per-loop report holds the source loop it is about
+(``SLMSResult.loop``), so ``slms advise`` and ``slms explain`` render
+the driver's own reports instead of walking the program again.
 """
 
 from __future__ import annotations
@@ -130,6 +134,7 @@ def slms(
                     result = try_reduction_lanes(stmt)
                     if result is None:
                         result = slms_for_loop(stmt, pool, options, types)
+                    result.loop = stmt
                     span.set(
                         applied=result.applied,
                         reason=result.reason,

@@ -1,8 +1,9 @@
 """Scheduler backend registry (docs/SCHEDULERS.md).
 
-``get_scheduler`` is the one constructor the driver, the advisor, the
-compare harness, and the fuzz oracle all share — backends register here
-and become reachable as ``SLMSOptions(scheduler="<name>")``.
+``get_scheduler`` is the one constructor, and the SLMS driver its one
+caller — backends register here and become reachable as
+``SLMSOptions(scheduler="<name>")`` from every tool built on the driver
+(``slms advise``, the compare harness, the fuzz oracle).
 """
 
 from __future__ import annotations

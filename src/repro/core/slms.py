@@ -155,6 +155,9 @@ class SLMSResult:
     sched_proven: Optional[bool] = None
     sched_nodes: int = 0
     sched_order: List[int] = field(default_factory=list)
+    # The source loop this report is about (set by pipeline.slms; with
+    # §5 lane splitting, the loop as written, not the lane loop).
+    loop: Optional[For] = None
 
     @staticmethod
     def declined(reason: str, **kwargs) -> "SLMSResult":
@@ -344,6 +347,7 @@ def slms_for_loop(
         if decompositions >= options.max_decompositions:
             return declined(
                 "no valid II after maximum decompositions",
+                n_mis=len(mis),
                 decompositions=decompositions,
                 filter_verdict=verdict,
                 ddg=graph,
@@ -372,6 +376,7 @@ def slms_for_loop(
         else:
             return declined(
                 "no MI can be decomposed (§5 failure case)",
+                n_mis=len(mis),
                 decompositions=decompositions,
                 filter_verdict=verdict,
             )
@@ -431,7 +436,16 @@ def slms_for_loop(
                 reordered=not sched.is_identity,
             )
 
-    sched_report = dict(
+    # What every result from here on reports, applied or declined at
+    # emission.
+    facts = dict(
+        ii=ii,
+        pmii=pmii,
+        stages=stages,
+        n_mis=len(mis),
+        decompositions=decompositions,
+        filter_verdict=verdict,
+        ddg=graph,
         scheduler=options.scheduler,
         res_mii=res_mii,
         heuristic_ii=heuristic_ii,
@@ -452,7 +466,7 @@ def slms_for_loop(
             try:
                 mve = apply_mve(mis, info, ii, plans, elem_types=types)
             except ValueError as exc:
-                return declined(str(exc), filter_verdict=verdict)
+                return declined(str(exc), **facts)
             new_decls.extend(mve.new_decls)
             new_scalars.extend(n for p in mve.plans for n in p.names)
             if tracer.enabled:
@@ -468,22 +482,15 @@ def slms_for_loop(
                 applied=True,
                 stmts=mve.stmts,
                 new_decls=new_decls,
-                ii=ii,
-                pmii=pmii,
-                stages=stages,
-                n_mis=len(mis),
-                decompositions=decompositions,
                 expansion="mve",
                 unroll=mve.unroll,
                 new_scalars=new_scalars,
-                filter_verdict=verdict,
-                ddg=graph,
                 partition=partition,
                 final_mis=[m.clone() for m in mis],
                 renames={
                     name: p.var for p in mve.plans for name in p.names
                 },
-                **sched_report,
+                **facts,
             )
         # fall through to plain schedule when nothing needs rotation
         expansion = "none" if expansion == "auto" else expansion
@@ -494,7 +501,7 @@ def slms_for_loop(
         try:
             schedule = build_modulo_schedule(mis_x, info, ii)
         except ShortTripCount as exc:
-            return declined(str(exc), filter_verdict=verdict)
+            return declined(str(exc), **facts)
         new_decls.extend(expanded.new_decls)
         if tracer.enabled:
             tracer.event(
@@ -508,30 +515,22 @@ def slms_for_loop(
             applied=True,
             stmts=[*expanded.preheader, *schedule.stmts(), *expanded.liveout],
             new_decls=new_decls,
-            ii=ii,
-            pmii=pmii,
-            stages=stages,
-            n_mis=len(mis),
-            decompositions=decompositions,
             expansion="scalar",
             new_scalars=new_scalars,
-            filter_verdict=verdict,
-            ddg=graph,
             partition=partition,
             final_mis=[m.clone() for m in mis],
             renames={p.array: p.var for p in expanded.plans},
-            **sched_report,
+            **facts,
         )
 
     if expansion == "mve" and not literal_bounds:
         return declined(
-            "MVE requires literal bounds and a positive step",
-            filter_verdict=verdict,
+            "MVE requires literal bounds and a positive step", **facts
         )
     if expansion == "scalar" and not literal_bounds:
         return declined(
             "scalar expansion requires literal bounds and a positive step",
-            filter_verdict=verdict,
+            **facts,
         )
 
     # Plain schedule: sequentially correct; cross-row scalar anti-deps
@@ -539,7 +538,7 @@ def slms_for_loop(
     try:
         schedule = build_modulo_schedule(mis, info, ii)
     except ShortTripCount as exc:
-        return declined(str(exc), filter_verdict=verdict)
+        return declined(str(exc), **facts)
     if tracer.enabled:
         tracer.event("expansion.choice", strategy="none")
         _trace_applied(tracer, ii, pmii, stages, len(mis), decompositions,
@@ -548,16 +547,9 @@ def slms_for_loop(
         applied=True,
         stmts=schedule.stmts(),
         new_decls=new_decls,
-        ii=ii,
-        pmii=pmii,
-        stages=stages,
-        n_mis=len(mis),
-        decompositions=decompositions,
         expansion="none",
         new_scalars=new_scalars,
-        filter_verdict=verdict,
-        ddg=graph,
         partition=partition,
         final_mis=[m.clone() for m in mis],
-        **sched_report,
+        **facts,
     )

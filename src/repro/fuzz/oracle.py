@@ -40,7 +40,7 @@ based generator, never from global state.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -688,7 +688,3 @@ def check_source(
     """Oracle entry point for bare source text (corpus replay)."""
     case = FuzzCase.from_source(source, seed=seed)
     return run_case(case, config)
-
-
-def default_config(**overrides: Any) -> OracleConfig:
-    return replace(OracleConfig(), **overrides)

@@ -136,11 +136,6 @@ class ExperimentResult:
     def speedup(self) -> float:
         return self.base_cycles / self.slms_cycles if self.slms_cycles else 1.0
 
-    @property
-    def energy_ratio(self) -> float:
-        """base / slms energy: > 1 means SLMS saves power (Fig. 21)."""
-        return self.base_energy / self.slms_energy if self.slms_energy else 1.0
-
     # -- cache serialization (see repro.harness.expcache) --------------
     def to_dict(self) -> Dict[str, Any]:
         """Lossless JSON form (floats round-trip via repr)."""

@@ -122,11 +122,6 @@ class MachineModel:
             raise ValueError("degenerate machine model")
 
 
-def resource_usage(op_class: str) -> str:
-    """Identity helper kept for symmetry; op classes map 1:1 to pools."""
-    return op_class
-
-
 def res_mii_for_counts(machine: MachineModel, counts: Mapping[str, int]) -> int:
     """Resource-constrained MII for a per-iteration op-class census.
 

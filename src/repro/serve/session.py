@@ -1,7 +1,7 @@
 """The request→response API shared by the CLI and the server.
 
 A :class:`Session` turns every user-facing operation — transform a
-source file, predict applicability, trace one experiment, run a sweep
+source file, advise on applicability, trace one experiment, run a sweep
 — into a plain ``params``-dict → JSON-payload call.  ``slms
 transform``/``advise``/``trace``/``sweep`` route their computation
 through the same methods the server dispatches to, so the one-shot CLI

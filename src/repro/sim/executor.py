@@ -54,10 +54,6 @@ class ExecutionMetrics:
     block_executions: Dict[str, int] = field(default_factory=dict)
 
     @property
-    def cpi(self) -> float:
-        return self.cycles / self.instructions if self.instructions else 0.0
-
-    @property
     def miss_rate(self) -> float:
         return (
             self.cache_misses / self.mem_accesses if self.mem_accesses else 0.0

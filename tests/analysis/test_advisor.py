@@ -1,14 +1,16 @@
-"""The static applicability advisor must agree exactly with the real
-driver: for every loop in the corpus the predicted verdict, reason
-string, II, stage count, expansion strategy, and unroll factor match
-what ``slms()`` actually does.  This is the contract that makes
-``slms advise`` trustworthy without running the scheduler."""
+"""The applicability advisor must agree exactly with the real driver:
+for every loop in the corpus the advised verdict, reason string, II,
+stage count, expansion strategy, and unroll factor match what
+``slms()`` does.  The advice is a view of the driver's own per-loop
+reports, so these tests pin that view (loop order, field mapping)
+under every driver knob, §5 reduction lane splitting included."""
 
 import pytest
 
 from repro.core.advisor import Advice, advise_program, render_advice
 from repro.core.pipeline import slms
 from repro.core.slms import SLMSOptions
+from repro.lang.parser import parse_program
 from repro.workloads import all_workloads
 
 
@@ -67,11 +69,14 @@ class TestAdvisorAgreement:
             SLMSOptions(max_decompositions=0),
             SLMSOptions(scheduler="exact"),
             SLMSOptions(scheduler="exact", machine="itanium2"),
+            SLMSOptions(reduction_lanes=2, allow_reassociation=True),
+            SLMSOptions(reduction_lanes=4, allow_reassociation=True),
         ],
         ids=[
             "mve", "scalar", "none", "force",
             "nofilter-unroll2", "nodecomp",
             "exact", "exact-itanium2",
+            "lanes2", "lanes4",
         ],
     )
     def test_option_sweeps_exact(self, options):
@@ -81,6 +86,41 @@ class TestAdvisorAgreement:
         for workload in all_workloads():
             problems.extend(_compare(workload, options))
         assert problems == []
+
+
+SHORT_TRIP = """
+float A[8], B[8], C[8];
+float s = 0.0;
+for (i = 0; i < 1; i++) { s = s + A[i]; B[i] = s * 2.0; C[i] = B[i] + s; }
+"""
+
+RECURRENCE = """
+float A[64];
+for (i = 1; i < 64; i++) A[i] = A[i-1] * 0.5 + 1.0;
+"""
+
+
+class TestDeclineFacts:
+    """A decline reports what the driver computed before declining."""
+
+    def test_emission_decline_carries_its_schedule(self):
+        (res,) = slms(SHORT_TRIP).loops
+        (adv,) = advise_program(parse_program(SHORT_TRIP))
+        assert res.reason.startswith("trip count 1 is below the stage count 2")
+        assert (res.ii, res.stages, res.n_mis, res.pmii) == (2, 2, 3, 3)
+        assert adv.reason == res.reason
+        assert (adv.ii, adv.stages, adv.n_mis, adv.rec_mii) == (2, 2, 3, 3)
+        assert (adv.heuristic_ii, adv.trip_count) == (2, 1)
+
+    def test_decomposition_declines_carry_the_mi_count(self):
+        (adv,) = advise_program(
+            parse_program(RECURRENCE), SLMSOptions(max_decompositions=0)
+        )
+        assert adv.reason == "no valid II after maximum decompositions"
+        assert (adv.n_mis, adv.rec_mii, adv.ii) == (1, 1, None)
+        (adv,) = advise_program(parse_program(RECURRENCE))
+        assert adv.reason == "no MI can be decomposed (§5 failure case)"
+        assert (adv.n_mis, adv.rec_mii, adv.ii) == (1, None, None)
 
 
 class TestAdviceShape:

@@ -4,15 +4,12 @@ import pytest
 
 from repro import SLMSOptions, slms
 from repro.core.explain import ddg_to_dot, explain, render_ms_table
-from repro.lang import parse_program, parse_stmt
-from repro.lang.ast_nodes import For
+from repro.lang import parse_stmt
 
 
 def loop_and_report(source, options=None):
-    prog = parse_program(source)
-    outcome = slms(prog, options)
-    loops = [s for s in prog.body if isinstance(s, For)]
-    return loops[-1], outcome.loops[-1]
+    report = slms(source, options).loops[-1]
+    return report.loop, report
 
 
 DOT_SOURCE = """
@@ -114,6 +111,32 @@ class TestCLIExplain:
         out = capsys.readouterr().out
         assert "APPLIED" in out
         assert "loop 0" in out
+
+    def test_cli_explain_pairs_sibling_loops_in_source_order(
+        self, tmp_path, capsys
+    ):
+        """Each loop's header sits over its own report: with two
+        top-level loops, loop 0 is the ``i`` loop and loop 1 the ``j``
+        loop."""
+        from repro.cli import main
+
+        path = tmp_path / "two.c"
+        path.write_text(
+            "float A[32], B[32], C[32];\n"
+            "float s = 0.0;\n"
+            "for (i = 0; i < 32; i++) A[i] = B[i] * 2.0 + C[i];\n"
+            "for (j = 0; j < 32; j++) s = s + A[j];\n"
+        )
+        assert main(["explain", str(path)]) == 0
+        out = capsys.readouterr().out
+        first, second = out.split("===== loop 1 =====")
+        assert first.startswith("===== loop 0 =====")
+        assert "loop: for (i = 0; i < 32; i++)" in first
+        assert "MI1: A[i] = B[i] * 2.0 + reg1;" in first
+        assert "[j]" not in first
+        assert "loop: for (j = 0; j < 32; j++)" in second
+        assert "MI1: s = s + reg4;" in second
+        assert "[i]" not in second
 
     def test_cli_explain_dot(self, tmp_path, capsys):
         from repro.cli import main
