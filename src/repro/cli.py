@@ -66,7 +66,7 @@ Subcommands
 
 ``slms advise FILE``
     SLMS applicability: the driver's own verdict on each innermost
-    loop — pipelined or declined, and why — with its recMII floor,
+    loop — pipelined or declined, and why — with its recMII estimate,
     II/stage counts and actionable suggestions (``--json`` for the
     ``slms-advise/1`` payload).
 
@@ -306,7 +306,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_advise(args: argparse.Namespace) -> int:
     """SLMS applicability report: the driver's verdict per loop, its
-    recMII floor, and actionable suggestions."""
+    recMII estimate, and actionable suggestions."""
     from repro.core.advisor import render_advice
     from repro.serve.session import Session, options_from_params
 
@@ -1207,7 +1207,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_advise = sub.add_parser(
         "advise", help="SLMS applicability: the driver's verdict per "
-        "loop, recMII floor, and suggestions"
+        "loop, recMII estimate, and suggestions"
     )
     p_advise.add_argument("file")
     p_advise.add_argument("--force", action="store_true",

@@ -3,10 +3,12 @@
 For every loop the SLMS driver attempts, reports whether
 :func:`repro.core.pipeline.slms` pipelines or declines it — with the
 driver's exact reason string — and the facts that verdict rests on: II,
-stage and MI counts, the recurrence-MII floor (``pmii_difmin``, the hard
-lower bound no amount of decomposition or expansion can beat), the
-scheduling backend's report, the trip count and the §4 memory-reference
-ratio, plus actionable suggestions keyed to the decline.
+stage and MI counts, the recurrence MII (``pmii_difmin``, the paper's
+§3.6 PMII under the §3.5 delays — an estimate, not a bound: the fixed
+placement lets anti/output dependences share a row, so the achieved II
+can be lower), the scheduling backend's report, the trip count and the
+§4 memory-reference ratio, plus actionable suggestions keyed to the
+decline.
 
 The advice is a view of the driver's own per-loop reports, so it equals
 what ``slms transform`` does under every option, §5 reduction lane
@@ -34,7 +36,8 @@ class Advice:
     line: int
     verdict: str  # "apply" | "decline"
     reason: str = ""  # the driver's decline reason, verbatim
-    rec_mii: Optional[int] = None  # recurrence-MII floor (pmii_difmin)
+    # §3.6 PMII (pmii_difmin); ii may be lower, see render_advice.
+    rec_mii: Optional[int] = None
     ii: Optional[int] = None
     stages: Optional[int] = None
     n_mis: Optional[int] = None
@@ -214,8 +217,9 @@ def render_advice(advice: Advice) -> str:
         )
     if advice.rec_mii is not None:
         lines.append(
-            f"  recMII floor: {advice.rec_mii} "
-            "(no decomposition or expansion can beat this)"
+            f"  recMII: {advice.rec_mii} (§3.6 estimate from §3.5 "
+            "delays; the fixed placement lets anti/output dependences "
+            "share a row, so the achieved II can be lower)"
         )
     if advice.res_mii is not None:
         lines.append(

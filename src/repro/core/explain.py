@@ -22,7 +22,7 @@ from typing import List, Optional
 
 from repro.analysis.ddg import DependenceGraph
 from repro.analysis.loopinfo import LoopInfo
-from repro.core.mii import edge_slacks
+from repro.core.mii import edge_fits
 from repro.core.slms import SLMSResult
 from repro.lang.ast_nodes import For, Stmt
 from repro.lang.printer import to_source
@@ -159,21 +159,17 @@ def explain(loop: For, result: SLMSResult) -> str:
             lines.append(f"    {edge}")
         if len(carried) > 12:
             lines.append(f"    … and {len(carried) - 12} more")
-        if result.ii is not None:
+        if result.ii is not None and result.ii > 1:
             # Which edge is binding at II-1 (why a smaller II fails)?
-            if result.ii > 1:
-                slacks = edge_slacks(graph, result.ii - 1)
-                binding = [
-                    (src, dst, kind)
-                    for (src, dst, kind), slack in slacks.items()
-                    if slack < (1 if kind == "flow" else 0)
-                ]
-                if binding:
-                    src, dst, kind = binding[0]
-                    lines.append(
-                        f"II = {result.ii - 1} fails: {kind} dependence "
-                        f"MI{src} -> MI{dst} violates its slack"
-                    )
+            binding = next(
+                (e for e in graph.edges if not edge_fits(e, result.ii - 1)),
+                None,
+            )
+            if binding is not None:
+                lines.append(
+                    f"II = {result.ii - 1} fails: {binding.kind} dependence "
+                    f"MI{binding.src} -> MI{binding.dst} violates its slack"
+                )
 
     lines.append(
         f"outcome: APPLIED — II={result.ii} (recurrence MII {result.pmii}), "

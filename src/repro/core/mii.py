@@ -1,25 +1,31 @@
-"""MII computation (paper §3.5–§3.6) and the valid-II search.
-
-Three views of the same question, cross-checked in the test suite:
+"""MII computation (paper §3.5–§3.6), the fixed-placement edge rule and
+the valid-II search.
 
 * :func:`pmii_cycle_ratio` — the recurrence-constrained MII as the
   maximum over dependence cycles of ``⌈Σ delay / Σ distance⌉``
   (enumerates cycles; exact for the small MI graphs SLMS sees).
 * :func:`difmin_feasible` / :func:`pmii_difmin` — the Iterative Shortest
   Path formulation the paper adopts from [3, 23]: for a candidate II,
-  the ``difMin`` matrix is the all-pairs *longest* path under edge
-  weight ``delay − II·distance``; the II is feasible iff no positive
-  cycle exists (``difMin[v][v] ≤ 0``).  PMII is the smallest feasible II
-  found by iterating II upward, exactly as §5 describes.
-* :func:`find_valid_ii` — the II that SLMS's *fixed placement* actually
-  needs.  SLMS never reorders MIs inside an iteration (MI ``m`` of
-  iteration ``k`` sits at row ``k·II + m``; the final compiler's list
-  scheduler does intra-row scheduling).  A dependence
-  ``src → dst, distance d`` therefore requires
-  ``d·II + (dst − src) ≥ 1`` for flow edges (the consumed value must be
-  produced in a strictly earlier row) and ``≥ 0`` for anti/output edges
-  (a same-row overlap is legal because rows are emitted oldest-iteration
-  first — the paper's footnote-1 assumption made explicit).
+  the ``difMin`` matrix is the all-pairs *longest* path
+  (:func:`longest_paths`) under edge weight ``delay − II·distance``;
+  the II is feasible iff no positive cycle exists
+  (``difMin[v][v] ≤ 0``).  PMII is the smallest feasible II found by
+  iterating II upward, exactly as §5 describes.  The two agree with
+  each other, but PMII is not a floor on the II SLMS achieves: the
+  §3.5 delays price anti and output dependences like flow ones, while
+  the fixed placement lets them share a row.
+* :data:`EDGE_NEED` / :func:`identity_feasible` / :func:`find_valid_ii`
+  — the II that SLMS's *fixed placement* actually needs.  SLMS never
+  reorders MIs inside an iteration (MI ``m`` of iteration ``k`` sits at
+  row ``k·II + m``; the final compiler's list scheduler does intra-row
+  scheduling).  A dependence ``src → dst, distance d`` therefore
+  requires ``d·II + (dst − src) ≥ EDGE_NEED[kind]``: 1 for flow edges
+  (the consumed value must be produced in a strictly earlier row) and 0
+  for anti/output edges (a same-row overlap is legal because rows are
+  emitted oldest-iteration first — the paper's footnote-1 assumption
+  made explicit), which is why the achieved II can be lower than PMII.
+  The exact scheduler (``core/schedulers/exact.py``) searches the same
+  constraint system with the placement left free.
 
 Per the paper, a valid II must also beat the sequential schedule:
 ``II < number of MIs``.
@@ -28,15 +34,21 @@ Per the paper, a valid II must also beat the sequential schedule:
 from __future__ import annotations
 
 from math import ceil, inf
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import networkx as nx
 
-from repro.analysis.ddg import DependenceGraph
+from repro.analysis.ddg import Dependence, DependenceGraph
 from repro.obs import get_tracer
 
-# SLMS only needs the smallest distance per (src, dst) pair — see
-# DependenceGraph.dominant_edges — so all functions below work on that
+#: Minimum row slack ``d·II + (dst − src)`` a dependence needs under
+#: SLMS's fixed placement, by kind (see the module docstring).  Read
+#: by the valid-II search, the exact scheduler and ``slms explain``; an
+#: unknown kind is a ``KeyError``, so the rule fails closed.
+EDGE_NEED: Dict[str, int] = {"flow": 1, "anti": 0, "output": 0}
+
+# The PMII functions only need the smallest distance per (src, dst)
+# pair — see DependenceGraph.dominant_edges — so they work on that
 # reduction.
 
 
@@ -73,27 +85,27 @@ def pmii_cycle_ratio(graph: DependenceGraph) -> Optional[int]:
     return best
 
 
-def difmin_matrix(graph: DependenceGraph, ii: int) -> List[List[float]]:
-    """All-pairs longest path under weight ``delay − II·distance``.
+def longest_paths(
+    n: int, arcs: Iterable[Tuple[int, int, int]]
+) -> List[List[float]]:
+    """All-pairs longest path over ``(src, dst, weight)`` arcs on nodes
+    ``0..n-1`` (Floyd–Warshall; parallel arcs keep the largest weight).
 
-    This is the difMin matrix of [3]; entries are ``-inf`` where no path
-    exists.  Positive diagonal ⇒ II infeasible.
+    Entries are ``-inf`` where no path exists.  A positive diagonal
+    means a positive cycle; it can amplify itself, so entries touched by
+    one are not path lengths — but one pass is enough to expose it,
+    which is all a feasibility test needs.
     """
-    n = graph.n
     dist: List[List[float]] = [[-inf] * n for _ in range(n)]
-    for (src, dst), (delay, distance) in graph.dominant_edges().items():
-        weight = delay - ii * distance
+    for src, dst, weight in arcs:
         if weight > dist[src][dst]:
             dist[src][dst] = weight
-    # Floyd–Warshall longest path.  A positive diagonal can amplify
-    # itself; one extra pass detecting it is enough because we only need
-    # feasibility, not the exact unbounded values.
     for mid in range(n):
+        row_mid = dist[mid]
         for a in range(n):
-            if dist[a][mid] == -inf:
-                continue
             via = dist[a][mid]
-            row_mid = dist[mid]
+            if via == -inf:
+                continue
             row_a = dist[a]
             for b in range(n):
                 if row_mid[b] == -inf:
@@ -102,6 +114,21 @@ def difmin_matrix(graph: DependenceGraph, ii: int) -> List[List[float]]:
                 if candidate > row_a[b]:
                     row_a[b] = candidate
     return dist
+
+
+def difmin_matrix(graph: DependenceGraph, ii: int) -> List[List[float]]:
+    """All-pairs longest path under weight ``delay − II·distance``.
+
+    This is the difMin matrix of [3]; entries are ``-inf`` where no path
+    exists.  Positive diagonal ⇒ II infeasible.
+    """
+    return longest_paths(
+        graph.n,
+        (
+            (src, dst, delay - ii * distance)
+            for (src, dst), (delay, distance) in graph.dominant_edges().items()
+        ),
+    )
 
 
 def difmin_feasible(graph: DependenceGraph, ii: int) -> bool:
@@ -128,6 +155,20 @@ def pmii_difmin(graph: DependenceGraph, max_ii: Optional[int] = None) -> Optiona
     return None
 
 
+def edge_fits(edge: Dependence, ii: int) -> bool:
+    """Does ``edge`` hold under the fixed (identity) placement at ``ii``?
+
+    The row arithmetic ``row(dst, k+d) − row(src, k) = d·II + (dst −
+    src)`` must reach :data:`EDGE_NEED` for the edge's kind.
+    """
+    return edge.distance * ii + (edge.dst - edge.src) >= EDGE_NEED[edge.kind]
+
+
+def identity_feasible(graph: DependenceGraph, ii: int) -> bool:
+    """Is the paper's fixed (identity) placement valid at ``ii``?"""
+    return all(edge_fits(edge, ii) for edge in graph.edges)
+
+
 def find_valid_ii(
     graph: DependenceGraph,
     n_mis: int,
@@ -135,9 +176,7 @@ def find_valid_ii(
 ) -> Optional[int]:
     """The smallest II valid for SLMS's fixed MI placement.
 
-    Checks every dependence edge against the row arithmetic
-    ``row(dst, k+d) − row(src, k) = d·II + (dst − src)`` with the
-    required minimum slack (1 for flow, 0 for anti/output).  Slack is
+    Sweeps II upward through :func:`identity_feasible`.  Slack is
     monotonically non-decreasing in II for every edge (distance ≥ 0), so
     the first II that passes is the minimum.  Returns ``None`` when no
     ``II < n_mis`` works — by the paper's definition such a schedule
@@ -150,18 +189,8 @@ def find_valid_ii(
         if tracer.enabled:
             tracer.event("ii.search", upper=upper, outcome="no room")
         return None
-    binding: List[Tuple[int, int, int]] = []  # (distance, span, min_slack)
-    for edge in graph.edges:
-        span = edge.dst - edge.src
-        need = 1 if edge.kind == "flow" else 0
-        if edge.distance == 0:
-            # Distance-0 edges always have src < dst (span ≥ 1 ≥ need).
-            if span < need:
-                return None  # inconsistent graph; be safe
-            continue
-        binding.append((edge.distance, span, need))
     for ii in range(1, upper + 1):
-        valid = all(d * ii + span >= need for d, span, need in binding)
+        valid = identity_feasible(graph, ii)
         if tracer.enabled:
             tracer.event("ii.candidate", ii=ii, valid=valid)
         if valid:
@@ -169,11 +198,3 @@ def find_valid_ii(
     if tracer.enabled:
         tracer.event("ii.search", upper=upper, outcome="exhausted")
     return None
-
-
-def edge_slacks(graph: DependenceGraph, ii: int) -> Dict[Tuple[int, int, str], int]:
-    """Diagnostic: per-edge slack ``d·II + (dst−src)`` at a given II."""
-    return {
-        (e.src, e.dst, e.kind): e.distance * ii + (e.dst - e.src)
-        for e in graph.edges
-    }

@@ -4,7 +4,7 @@ compare``).
 Runs every requested workload through the SLMS driver twice — once with
 the paper's heuristic backend, once with the exact branch-and-bound —
 and tabulates, per loop: both verdicts, both IIs, the recMII/resMII
-floors, whether the exact result is proven optimal, and the **gap**
+estimates, whether the exact result is proven optimal, and the **gap**
 (heuristic II − exact II, only defined when both apply).
 
 The refine architecture guarantees ``gap ≥ 0`` and identical
@@ -35,10 +35,10 @@ class LoopComparison:
 
     ``rec_mii`` is the paper's §5 PMII (difMin over the §3.5
     *positional* delays of the final MI order) and ``res_mii`` the
-    parametric-machine resource floor; both are informational — the
+    parametric-machine resource estimate; both are informational — the
     positional delay model and the machine FU mix bound quantities the
-    row placement does not have to respect, so either floor may exceed
-    the achieved row II (docs/SCHEDULERS.md discusses both gaps).
+    row placement does not have to respect, so either may exceed the
+    achieved row II (docs/SCHEDULERS.md discusses both gaps).
     """
 
     workload: str

@@ -5,14 +5,16 @@ integer variables are the MI row offsets ``σ(v) ∈ [0, n-1]``, the
 overlap/ordering decisions are implicit in the permutation the search
 builds slot by slot, and every dependence edge contributes
 
-    σ(dst) − σ(src) ≥ need − distance·II      (need: 1 flow, 0 anti/out)
+    σ(dst) − σ(src) ≥ EDGE_NEED[kind] − distance·II
 
-which is exactly the difference-constraint system behind the paper's
-difMin matrix — so the pruning relaxation reuses that machinery: the
-all-pairs *longest path* ``L`` over edge weight ``need − d·II`` gives
-``σ(v) − σ(u) ≥ L[u][v]`` for every pair, a positive diagonal proves
-the II infeasible for *any* placement, and ``L`` tightens each node's
-earliest/latest slot (``est``/``ub``) as slots are committed.
+which is the fixed-placement rule of :mod:`repro.core.mii` with the
+placement left free, and the same difference-constraint system as the
+paper's difMin matrix — so the pruning relaxation is the same
+:func:`repro.core.mii.longest_paths` routine: the all-pairs longest
+path ``L`` over edge weight ``need − d·II`` gives ``σ(v) − σ(u) ≥
+L[u][v]`` for every pair, a positive diagonal proves the II infeasible
+for *any* placement, and ``L`` tightens each node's earliest/latest
+slot (``est``/``ub``) as slots are committed.
 
 The search assigns slot 0, then 1, … (a permutation has no gaps, so a
 slot nobody can take kills the branch immediately); each committed slot
@@ -20,27 +22,21 @@ propagates ``est/ub`` through ``L`` and prunes on an empty window.  II
 feasibility is monotone — raising II only loosens every constraint —
 so the first feasible II in the upward sweep is optimal.
 
-Budgets: the node budget counts placement attempts and is the
-*deterministic* bound (verdicts are a pure function of the graph and
-the budget — fuzz reports stay byte-identical across hosts); the
-optional wall-clock budget is off by default and meant for interactive
-use only.  A result obtained after any budget exhaustion at a lower II
-is flagged ``exhausted`` and never ``proven_optimal``.
+The node budget counts placement attempts and is the only bound, so
+verdicts are a pure function of the graph and the budget and fuzz
+reports stay byte-identical across hosts.  A result obtained after a
+budget exhaustion at a lower II is flagged ``exhausted`` and never
+``proven_optimal``.
 """
 
 from __future__ import annotations
 
-import time
 from math import inf
 from typing import List, Optional, Tuple
 
 from repro.analysis.ddg import DependenceGraph
-from repro.core.schedulers.base import (
-    ModuloScheduler,
-    SourceSchedule,
-    edge_min_slack,
-    identity_feasible,
-)
+from repro.core.mii import EDGE_NEED, longest_paths
+from repro.core.schedulers import SourceSchedule
 
 
 class _BudgetExhausted(Exception):
@@ -50,242 +46,137 @@ class _BudgetExhausted(Exception):
 class _Budget:
     """Placement-attempt countdown shared across one II sweep."""
 
-    __slots__ = ("remaining", "used", "deadline")
+    __slots__ = ("remaining", "used")
 
-    def __init__(self, nodes: int, time_budget_s: Optional[float] = None):
+    def __init__(self, nodes: int):
         self.remaining = nodes
         self.used = 0
-        self.deadline = (
-            time.monotonic() + time_budget_s
-            if time_budget_s is not None
-            else None
-        )
 
     def spend(self) -> None:
         if self.remaining <= 0:
-            raise _BudgetExhausted
-        if self.deadline is not None and time.monotonic() > self.deadline:
             raise _BudgetExhausted
         self.remaining -= 1
         self.used += 1
 
 
-class ExactScheduler(ModuloScheduler):
-    """Branch-and-bound over MI placements; proves II optimality."""
-
-    name = "exact"
-    DEFAULT_BUDGET = 50_000
-
-    def __init__(
-        self,
-        budget_nodes: Optional[int] = None,
-        time_budget_s: Optional[float] = None,
-    ):
-        super().__init__(
-            budget_nodes=budget_nodes
-            if budget_nodes and budget_nodes > 0
-            else self.DEFAULT_BUDGET
-        )
-        self.time_budget_s = time_budget_s
-
-    # ---- constraint relaxation ------------------------------------------
-
-    def _longest_paths(
-        self, graph: DependenceGraph, ii: int
-    ) -> Optional[List[List[float]]]:
-        """All-pairs longest path over ``need − d·II``; ``None`` when a
-        positive cycle proves the II infeasible for every placement."""
-        n = graph.n
-        w: List[List[float]] = [[-inf] * n for _ in range(n)]
-        for edge in graph.edges:
-            weight = edge_min_slack(edge.kind) - edge.distance * ii
-            if weight > w[edge.src][edge.dst]:
-                w[edge.src][edge.dst] = weight
-        for mid in range(n):
-            row_mid = w[mid]
-            for a in range(n):
-                via = w[a][mid]
-                if via == -inf:
-                    continue
-                row_a = w[a]
-                for b in range(n):
-                    if row_mid[b] == -inf:
-                        continue
-                    candidate = via + row_mid[b]
-                    if candidate > row_a[b]:
-                        row_a[b] = candidate
-        if any(w[v][v] > 0 for v in range(n)):
-            return None
-        return w
-
-    # ---- the search ------------------------------------------------------
-
-    def _solve(
-        self, graph: DependenceGraph, ii: int, budget: _Budget
-    ) -> Tuple[Optional[List[int]], bool]:
-        """``(order, exhausted)`` — ``order`` is ``None`` when the II is
-        infeasible or the budget ran out (``exhausted`` tells which)."""
-        n = graph.n
-        paths = self._longest_paths(graph, ii)
-        if paths is None:
+def _solve(
+    graph: DependenceGraph, ii: int, budget: _Budget
+) -> Tuple[Optional[List[int]], bool]:
+    """``(order, exhausted)`` — ``order`` is ``None`` when the II is
+    infeasible or the budget ran out (``exhausted`` tells which)."""
+    n = graph.n
+    paths = longest_paths(
+        n,
+        (
+            (edge.src, edge.dst, EDGE_NEED[edge.kind] - edge.distance * ii)
+            for edge in graph.edges
+        ),
+    )
+    if any(paths[v][v] > 0 for v in range(n)):
+        return None, False  # a positive cycle: no placement works
+    last = n - 1
+    est = [0] * n
+    ub = [last] * n
+    for v in range(n):
+        for u in range(n):
+            to_v = paths[u][v]
+            if to_v != -inf and to_v > est[v]:
+                est[v] = int(to_v)  # σ(u) ≥ 0 ⇒ σ(v) ≥ L[u][v]
+            from_v = paths[v][u]
+            if from_v != -inf and last - from_v < ub[v]:
+                ub[v] = int(last - from_v)  # σ(u) ≤ n−1
+        if est[v] > ub[v]:
             return None, False
-        last = n - 1
-        est = [0] * n
-        ub = [last] * n
+
+    order = [0] * n
+    used = [False] * n
+
+    def place(r: int, est: List[int], ub: List[int]) -> bool:
+        if r == n:
+            return True
+        musts: List[int] = []
+        cands: List[int] = []
         for v in range(n):
-            for u in range(n):
-                to_v = paths[u][v]
-                if to_v != -inf and to_v > est[v]:
-                    est[v] = int(to_v)  # σ(u) ≥ 0 ⇒ σ(v) ≥ L[u][v]
-                from_v = paths[v][u]
-                if from_v != -inf and last - from_v < ub[v]:
-                    ub[v] = int(last - from_v)  # σ(u) ≤ n−1
-            if est[v] > ub[v]:
-                return None, False
-
-        order = [0] * n
-        used = [False] * n
-
-        def place(r: int, est: List[int], ub: List[int]) -> bool:
-            if r == n:
-                return True
-            musts: List[int] = []
-            cands: List[int] = []
+            if used[v]:
+                continue
+            if ub[v] < r:
+                return False  # v can never be placed any more
+            if est[v] <= r:
+                cands.append(v)
+                if ub[v] == r:
+                    musts.append(v)
+        if not cands or len(musts) > 1:
+            return False  # slot r unfillable / two MIs forced into it
+        if musts:
+            cands = musts
+        else:
+            cands.sort(key=lambda v: (ub[v], est[v], v))
+        for m in cands:
+            budget.spend()
+            used[m] = True
+            new_est = list(est)
+            new_ub = list(ub)
+            viable = True
             for v in range(n):
                 if used[v]:
                     continue
-                if ub[v] < r:
-                    return False  # v can never be placed any more
-                if est[v] <= r:
-                    cands.append(v)
-                    if ub[v] == r:
-                        musts.append(v)
-            if not cands or len(musts) > 1:
-                return False  # slot r unfillable / two MIs forced into it
-            if musts:
-                cands = musts
-            else:
-                cands.sort(key=lambda v: (ub[v], est[v], v))
-            for m in cands:
-                budget.spend()
-                used[m] = True
-                new_est = list(est)
-                new_ub = list(ub)
-                viable = True
-                for v in range(n):
-                    if used[v]:
-                        continue
-                    fwd = paths[m][v]
-                    if fwd != -inf and r + fwd > new_est[v]:
-                        new_est[v] = int(r + fwd)
-                    back = paths[v][m]
-                    if back != -inf and r - back < new_ub[v]:
-                        new_ub[v] = int(r - back)
-                    if new_est[v] > new_ub[v]:
-                        viable = False
-                        break
-                if viable and place(r + 1, new_est, new_ub):
-                    order[r] = m
-                    return True
-                used[m] = False
-            return False
+                fwd = paths[m][v]
+                if fwd != -inf and r + fwd > new_est[v]:
+                    new_est[v] = int(r + fwd)
+                back = paths[v][m]
+                if back != -inf and r - back < new_ub[v]:
+                    new_ub[v] = int(r - back)
+                if new_est[v] > new_ub[v]:
+                    viable = False
+                    break
+            if viable and place(r + 1, new_est, new_ub):
+                order[r] = m
+                return True
+            used[m] = False
+        return False
 
-        try:
-            found = place(0, est, ub)
-        except _BudgetExhausted:
-            return None, True
-        return (order if found else None), False
+    try:
+        found = place(0, est, ub)
+    except _BudgetExhausted:
+        return None, True
+    return (order if found else None), False
 
-    # ---- public API ------------------------------------------------------
 
-    def schedule(
-        self, graph: DependenceGraph, ii: int
-    ) -> Optional[SourceSchedule]:
-        if not 1 <= ii < graph.n:  # the paper's II < n_mis validity bound
-            return None
-        if identity_feasible(graph, ii):
+def refine(
+    graph: DependenceGraph,
+    heuristic_ii: int,
+    min_ii: int = 1,
+    budget_nodes: int = 50_000,
+) -> SourceSchedule:
+    """Search for a placement below the paper's II, ``heuristic_ii``.
+
+    ``min_ii`` is the smallest II worth returning (the driver passes
+    ``⌈n_mis/trip⌉`` so a lower II never trips the stage-count emission
+    guard).  One budget of ``budget_nodes`` placement attempts covers
+    the whole sweep.  The identity placement at ``heuristic_ii`` is the
+    fallback, so the returned II never exceeds the heuristic's — even
+    when every smaller II exhausts the budget (the result is then
+    flagged, not claimed optimal).
+    """
+    budget = _Budget(budget_nodes)
+    exhausted = False
+    for ii in range(max(1, min_ii), heuristic_ii):
+        order, ran_out = _solve(graph, ii, budget)
+        if order is not None:
             return SourceSchedule(
-                ii=ii, order=tuple(range(graph.n)), backend=self.name
+                ii=ii,
+                order=tuple(order),
+                backend="exact",
+                proven_optimal=not exhausted,
+                exhausted=exhausted,
+                nodes=budget.used,
             )
-        budget = _Budget(self.budget_nodes, self.time_budget_s)
-        order, _exhausted = self._solve(graph, ii, budget)
-        if order is None:
-            return None
-        return SourceSchedule(
-            ii=ii,
-            order=tuple(order),
-            backend=self.name,
-            nodes=budget.used,
-        )
-
-    def find_schedule(
-        self,
-        graph: DependenceGraph,
-        n_mis: int,
-        max_ii: Optional[int] = None,
-    ) -> Optional[SourceSchedule]:
-        upper = min(max_ii, n_mis - 1) if max_ii is not None else n_mis - 1
-        if upper < 1:
-            return None
-        budget = _Budget(self.budget_nodes, self.time_budget_s)
-        exhausted = False
-        for ii in range(1, upper + 1):
-            # The identity check is free and keeps the heuristic's
-            # schedule as a floor even after budget exhaustion.
-            if identity_feasible(graph, ii):
-                return SourceSchedule(
-                    ii=ii,
-                    order=tuple(range(graph.n)),
-                    backend=self.name,
-                    proven_optimal=not exhausted,
-                    exhausted=exhausted,
-                    nodes=budget.used,
-                )
-            order, ran_out = self._solve(graph, ii, budget)
-            if order is not None:
-                return SourceSchedule(
-                    ii=ii,
-                    order=tuple(order),
-                    backend=self.name,
-                    proven_optimal=not exhausted,
-                    exhausted=exhausted,
-                    nodes=budget.used,
-                )
-            exhausted = exhausted or ran_out
-        return None
-
-    def refine(
-        self,
-        graph: DependenceGraph,
-        heuristic_ii: int,
-        min_ii: int = 1,
-    ) -> SourceSchedule:
-        """Search for a placement below the heuristic's II.
-
-        The identity placement at ``heuristic_ii`` is the fallback, so
-        the returned II never exceeds the heuristic's — even when every
-        smaller II exhausts the budget (the result is then flagged, not
-        claimed optimal).
-        """
-        budget = _Budget(self.budget_nodes, self.time_budget_s)
-        exhausted = False
-        for ii in range(max(1, min_ii), heuristic_ii):
-            order, ran_out = self._solve(graph, ii, budget)
-            if order is not None:
-                return SourceSchedule(
-                    ii=ii,
-                    order=tuple(order),
-                    backend=self.name,
-                    proven_optimal=not exhausted,
-                    exhausted=exhausted,
-                    nodes=budget.used,
-                )
-            exhausted = exhausted or ran_out
-        return SourceSchedule(
-            ii=heuristic_ii,
-            order=tuple(range(graph.n)),
-            backend=self.name,
-            proven_optimal=not exhausted,
-            exhausted=exhausted,
-            nodes=budget.used,
-        )
+        exhausted = exhausted or ran_out
+    return SourceSchedule(
+        ii=heuristic_ii,
+        order=tuple(range(graph.n)),
+        backend="exact",
+        proven_optimal=not exhausted,
+        exhausted=exhausted,
+        nodes=budget.used,
+    )

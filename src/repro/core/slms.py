@@ -31,7 +31,12 @@ from repro.core.if_conversion import if_convert
 from repro.core.mi import MIPartition, NotPartitionable, partition_mis
 from repro.core.mii import find_valid_ii, pmii_difmin
 from repro.core.mve import apply_mve, plan_rotations
-from repro.core.schedulers import get_scheduler
+from repro.core.schedulers import (
+    SCHEDULER_NAMES,
+    SourceSchedule,
+    exact,
+    resource_mii,
+)
 from repro.core.names import NamePool
 from repro.core.scalar_expansion import apply_scalar_expansion
 from repro.core.schedule import ShortTripCount, build_modulo_schedule
@@ -80,9 +85,9 @@ class SLMSOptions:
     # Run the independent schedule validator (repro.verify.schedule) on
     # every applied result and attach its diagnostics to the report.
     verify: bool = False
-    # Pluggable scheduling backend (docs/SCHEDULERS.md): "heuristic" is
-    # the paper's fixed placement; "exact" proves placement optimality
-    # by branch-and-bound within sched_budget placement attempts.
+    # Scheduling backend (docs/SCHEDULERS.md): "heuristic" is the
+    # paper's fixed placement; "exact" proves placement optimality by
+    # branch-and-bound within sched_budget placement attempts.
     scheduler: str = "heuristic"
     sched_budget: int = 50_000
     # Machine preset name for the source-level resMII report (None
@@ -97,8 +102,6 @@ class SLMSOptions:
             loads, arith = self.resource_limits
             if loads < 1 or arith < 1:
                 raise ValueError("resource limits must be >= 1")
-        from repro.core.schedulers import SCHEDULER_NAMES
-
         if self.scheduler not in SCHEDULER_NAMES:
             raise ValueError(
                 f"unknown scheduler {self.scheduler!r}; choose from "
@@ -381,31 +384,32 @@ def slms_for_loop(
                 filter_verdict=verdict,
             )
 
-    # ---- pluggable placement refinement (docs/SCHEDULERS.md) -------------
+    # ---- placement refinement (docs/SCHEDULERS.md) -------------------------
     # The II search above IS the paper's scheduler (identity placement);
-    # a non-default backend may now find a better placement for the same
-    # MI partition.  Reordering the MI list realises the permutation —
+    # the exact backend may now find a better placement for the same MI
+    # partition.  Reordering the MI list realises the permutation —
     # every downstream pass and the validator key off list position —
-    # and is sequentially sound because the backend enforced every
+    # and is sequentially sound because the search enforced every
     # distance-0 dependence direction.
     heuristic_ii = ii
-    backend = get_scheduler(
-        options.scheduler, budget_nodes=options.sched_budget
-    )
-    floor = 1
-    if info.trip_count is not None and info.trip_count > 0:
-        # A lower II would push the stage count past the trip count and
-        # trip the emission guard, so never search below this.
-        floor = max(1, -(-len(mis) // info.trip_count))
-    sched = backend.refine(graph, heuristic_ii, min_ii=floor)
-    if not sched.is_identity:
-        mis = [mis[m] for m in sched.order]
-        graph = build_ddg(mis, info)
+    if options.scheduler == "exact":
+        floor = 1
+        if info.trip_count is not None and info.trip_count > 0:
+            # A lower II would push the stage count past the trip count
+            # and trip the emission guard, so never search below this.
+            floor = max(1, -(-len(mis) // info.trip_count))
+        sched = exact.refine(graph, heuristic_ii, floor, options.sched_budget)
+        if not sched.is_identity:
+            mis = [mis[m] for m in sched.order]
+            graph = build_ddg(mis, info)
+    else:
+        sched = SourceSchedule(
+            ii=heuristic_ii, order=tuple(range(graph.n)), backend="heuristic"
+        )
     ii = sched.ii
 
     res_mii = None
     if options.machine is not None:
-        from repro.core.schedulers import resource_mii
         from repro.machines.presets import machine_by_name
 
         res_mii = resource_mii(mis, machine_by_name(options.machine), types)

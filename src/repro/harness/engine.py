@@ -701,24 +701,6 @@ def run_experiments(
                 )
                 if stats.failures:
                     engine_span.set(failures=stats.failures)
-                # Aggregate tier traffic as trace events, one hit + one
-                # miss event per tier in PHASE_TIERS order — emitted
-                # parent-side after spec-order aggregation, so the
-                # sequence stays worker-count-invariant.  (Traced runs
-                # disable the phase cache, so live counts here are zero;
-                # the events exist so absorbed pre-recorded payloads and
-                # future always-on consumers see a stable shape.)
-                for tier in PHASE_TIERS:
-                    tracer.event(
-                        "cache.tier.hit",
-                        tier=tier,
-                        count=stats.tier_hits.get(tier, 0),
-                    )
-                    tracer.event(
-                        "cache.tier.miss",
-                        tier=tier,
-                        count=stats.tier_misses.get(tier, 0),
-                    )
     finally:
         if journal is not None:
             journal.close()

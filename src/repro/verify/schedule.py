@@ -713,8 +713,8 @@ def _structural_replay(
         # both MI3 of iteration 5 and MI4 of iteration 0 when the MIs
         # store the same scalar at offsets 3 and 8), so collect every
         # unifiable candidate and prefer one whose scalar uses agree
-        # with the replayed store; falling back to the first candidate
-        # preserves the old greedy behaviour when none is consistent.
+        # with the replayed store, falling back to the earliest
+        # scheduled one when none is consistent.
         candidates: List[Tuple[int, int, _Bindings]] = []
         for m, g in index.get(key, ()):  # insertion order: (m asc, g asc)
             if (m, g) in claimed:
@@ -729,6 +729,10 @@ def _structural_replay(
                 origins=origins,
             ):
                 candidates.append((m, g, bindings))
+        if len(candidates) > 1:
+            # Rows are emitted in order, oldest iteration first within a
+            # row, so try aliased instances in that order: row g·II + m.
+            candidates.sort(key=lambda c: (c[1] * result.ii + c[0], c[1]))
         match: Optional[Tuple[int, int, _Bindings]] = None
         for m, g, bindings in candidates:
             if all(

@@ -11,7 +11,7 @@ from repro.core.advisor import Advice, advise_program, render_advice
 from repro.core.pipeline import slms
 from repro.core.slms import SLMSOptions
 from repro.lang.parser import parse_program
-from repro.workloads import all_workloads
+from repro.workloads import all_workloads, get_workload
 
 
 def _compare(workload, options):
@@ -161,6 +161,15 @@ class TestAdviceShape:
         assert "DECLINE" in text
         assert "nested loop in body" in text
         assert "distribute the inner loop" in text
+
+    def test_rec_mii_is_not_rendered_as_a_floor(self):
+        """kernel1 loop 1 runs at II 1 under a §3.6 PMII of 2: the
+        anti back edge shares a row under the fixed placement."""
+        adv = advise_program(get_workload("kernel1").full_program())[1]
+        assert adv.applies and (adv.ii, adv.rec_mii) == (1, 2)
+        text = render_advice(adv)
+        assert "recMII: 2" in text
+        assert "floor" not in text and "can beat" not in text
 
     def test_to_dict_round_trips_fields(self):
         adv = Advice(line=1, verdict="decline", reason="x",

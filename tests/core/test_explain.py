@@ -62,6 +62,31 @@ class TestExplain:
         text = explain(loop, report)
         assert "II = 1 fails" in text
 
+    def test_binding_edge_survives_a_parallel_twin(self):
+        """The anti edge MI2 -> MI0 at distance 1 binds at II 1; its
+        distance-8 twin of the same kind has slack to spare and must not
+        hide it."""
+        source = """
+        int A[33];
+        int t = 8;
+        for (i = 0; i < 23; i++) {
+            A[i + 1] = 4 * 7 % 7 % 8191;
+            t = 0 * 2 % 8191;
+            A[i + 3] = (-A[i + 35] + (A[i + 9] + A[i + 2]) / 2) % 8191;
+        }
+        """
+        loop, report = loop_and_report(source)
+        anti = [
+            e.distance for e in report.ddg.edges
+            if (e.kind, e.src, e.dst) == ("anti", 2, 0)
+        ]
+        assert report.ii == 2 and sorted(anti) == [1, 8]
+        text = explain(loop, report)
+        assert (
+            "II = 1 fails: anti dependence MI2 -> MI0 violates its slack"
+            in text
+        )
+
 
 class TestMSTable:
     def test_figure1_shape(self):

@@ -1,28 +1,28 @@
-"""Unit tests for the pluggable scheduler backends (docs/SCHEDULERS.md).
+"""Unit tests for the scheduling backends (docs/SCHEDULERS.md).
 
-Covers the registry, heuristic/``find_valid_ii`` parity, the exact
-branch-and-bound search (wins, proofs, budgets, the refine fallback),
-and the shared source-level resMII census.
+Covers the backend names, the driver's default identity placement, the
+exact branch-and-bound search (wins, proofs, budgets, the refine
+fallback), the fixed-placement edge rule, and the shared source-level
+resMII census.
 """
 
 import pytest
 
 from repro.analysis.ddg import Dependence, DependenceGraph
 from repro.analysis.delays import edge_delay
-from repro.core.mii import find_valid_ii
+from repro.core.mii import find_valid_ii, identity_feasible
+from repro.core.pipeline import slms
 from repro.core.schedulers import (
     SCHEDULER_NAMES,
-    ExactScheduler,
-    HeuristicScheduler,
-    get_scheduler,
-    identity_feasible,
     op_class_counts,
     resource_mii,
 )
+from repro.core.schedulers.exact import refine
 from repro.core.slms import SLMSOptions
 from repro.lang.parser import parse_program
 from repro.machines.model import MachineModel, res_mii_for_counts
 from repro.machines.presets import machine_by_name
+from repro.workloads import get_workload
 
 
 def graph_from(edges, n):
@@ -47,17 +47,9 @@ def graph_from(edges, n):
 GAP_EDGES = [("flow", 1, 0, 1)]
 
 
-class TestRegistry:
+class TestSchedulerNames:
     def test_names(self):
         assert SCHEDULER_NAMES == ("exact", "heuristic")
-
-    def test_get_scheduler_constructs(self):
-        assert isinstance(get_scheduler("heuristic"), HeuristicScheduler)
-        assert isinstance(get_scheduler("exact"), ExactScheduler)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
-            get_scheduler("ilp")
 
     def test_options_validate_scheduler(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
@@ -68,41 +60,21 @@ class TestRegistry:
             SLMSOptions(machine="z80")
 
 
-class TestHeuristicBackend:
-    def test_find_schedule_matches_find_valid_ii(self):
-        graphs = [
-            graph_from([("flow", 0, 1, 0), ("flow", 1, 0, 1)], 2),
-            graph_from([("flow", 0, 0, 1), ("anti", 1, 0, 2)], 3),
-            graph_from(GAP_EDGES, 3),
-            graph_from([("flow", 2, 0, 1), ("output", 1, 1, 1)], 4),
-        ]
-        backend = HeuristicScheduler()
-        for g in graphs:
-            sched = backend.find_schedule(g, g.n)
-            expected = find_valid_ii(g, g.n)
-            if expected is None:
-                assert sched is None
-            else:
-                assert sched.ii == expected
-                assert sched.is_identity
-
-    def test_schedule_rejects_out_of_range_ii(self):
-        g = graph_from([("flow", 0, 1, 0)], 2)
-        backend = HeuristicScheduler()
-        assert backend.schedule(g, 0) is None
-        assert backend.schedule(g, 2) is None  # II < n_mis bound
-
-    def test_refine_returns_identity(self):
-        g = graph_from(GAP_EDGES, 3)
-        sched = HeuristicScheduler().refine(g, heuristic_ii=2)
-        assert sched.ii == 2 and sched.is_identity
+class TestHeuristicPath:
+    def test_driver_keeps_the_identity_placement(self):
+        # kernel16 loop 1: the exact search reorders it to II 2; the
+        # default path keeps the paper's placement at find_valid_ii's 3.
+        report = slms(get_workload("kernel16").full_source()).loops[1]
+        assert report.applied and report.ii == report.heuristic_ii == 3
+        assert report.sched_order == list(range(report.n_mis))
+        assert report.sched_proven is None and report.sched_nodes == 0
 
 
 class TestExactBackend:
     def test_beats_identity_on_gap_graph(self):
         g = graph_from(GAP_EDGES, 3)
         assert find_valid_ii(g, g.n) == 2
-        sched = ExactScheduler().refine(g, heuristic_ii=2)
+        sched = refine(g, heuristic_ii=2)
         assert sched.ii == 1
         assert sched.order == (1, 0, 2)
         assert sched.proven_optimal
@@ -112,8 +84,8 @@ class TestExactBackend:
         g = graph_from(
             [("flow", 1, 0, 1), ("flow", 0, 2, 0), ("anti", 2, 1, 1)], 3
         )
-        sched = ExactScheduler().find_schedule(g, g.n)
-        assert sched is not None
+        sched = refine(g, g.n)
+        assert sched.ii < g.n
         sigma = {v: r for r, v in enumerate(sched.order)}
         for edge in g.edges:
             need = 1 if edge.kind == "flow" else 0
@@ -124,19 +96,18 @@ class TestExactBackend:
 
     def test_identity_kept_when_already_optimal(self):
         g = graph_from([("flow", 0, 1, 0)], 2)
-        sched = ExactScheduler().find_schedule(g, g.n)
+        sched = refine(g, g.n)
         assert sched.ii == 1 and sched.is_identity and sched.proven_optimal
 
     def test_infeasible_ii_detected_by_relaxation(self):
         # Self-dependence at distance 1 makes II=0 nonsense and the
         # positive-cycle test must reject nothing at II >= 1.
         g = graph_from([("flow", 0, 0, 1)], 2)
-        backend = ExactScheduler()
-        assert backend.schedule(g, 1) is not None
+        assert refine(g, g.n).ii == 1
 
     def test_budget_exhaustion_is_flagged_not_proven(self):
         g = graph_from(GAP_EDGES, 3)
-        sched = ExactScheduler(budget_nodes=1).refine(g, heuristic_ii=2)
+        sched = refine(g, heuristic_ii=2, budget_nodes=1)
         assert sched.ii == 2  # fell back to the identity placement
         assert sched.is_identity
         assert sched.exhausted
@@ -144,7 +115,7 @@ class TestExactBackend:
 
     def test_refine_honours_min_ii_floor(self):
         g = graph_from(GAP_EDGES, 3)
-        sched = ExactScheduler().refine(g, heuristic_ii=2, min_ii=2)
+        sched = refine(g, heuristic_ii=2, min_ii=2)
         assert sched.ii == 2 and sched.is_identity
         assert sched.proven_optimal  # nothing below the floor was tried
 
@@ -158,7 +129,7 @@ class TestExactBackend:
             h_ii = find_valid_ii(g, g.n)
             if h_ii is None:
                 continue
-            sched = ExactScheduler().refine(g, h_ii)
+            sched = refine(g, h_ii)
             assert sched.ii <= h_ii
 
 
@@ -254,3 +225,12 @@ class TestIdentityFeasible:
         assert not identity_feasible(g, 1)
         assert identity_feasible(g, 2)
         assert find_valid_ii(g, g.n) == 2
+
+    def test_unknown_dependence_kind_fails_closed(self):
+        # One rule for every reader: a kind EDGE_NEED does not know is
+        # an error, not a silent slack requirement of 0 or 1.
+        g = graph_from([("input", 1, 0, 1)], 3)
+        with pytest.raises(KeyError):
+            find_valid_ii(g, g.n)
+        with pytest.raises(KeyError):
+            refine(g, 2)

@@ -1,4 +1,4 @@
-"""Property tests for the scheduler backends (docs/SCHEDULERS.md).
+"""Property tests for the scheduling backends (docs/SCHEDULERS.md).
 
 * every schedule the exact backend returns satisfies every DDG edge
   constraint ``d·II + (σ(dst) − σ(src)) ≥ need`` and is a true
@@ -20,9 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.analysis.ddg import Dependence, DependenceGraph
 from repro.analysis.delays import edge_delay
-from repro.core.mii import find_valid_ii
-from repro.core.schedulers import ExactScheduler, edge_min_slack
+from repro.core.mii import EDGE_NEED, find_valid_ii
 from repro.core.schedulers.compare import compare_schedulers
+from repro.core.schedulers.exact import refine
 from repro.machines.model import MachineModel, res_mii_for_counts
 
 
@@ -57,7 +57,7 @@ def _check_schedule(graph, sched):
         slack = edge.distance * sched.ii + (
             sigma[edge.dst] - sigma[edge.src]
         )
-        assert slack >= edge_min_slack(edge.kind), (
+        assert slack >= EDGE_NEED[edge.kind], (
             f"edge {edge.kind} {edge.src}->{edge.dst} d={edge.distance} "
             f"violated at II={sched.ii} order={sched.order}"
         )
@@ -66,13 +66,13 @@ def _check_schedule(graph, sched):
 @settings(max_examples=150, deadline=None)
 @given(dependence_graphs())
 def test_exact_schedules_respect_every_edge(graph):
-    sched = ExactScheduler().find_schedule(graph, graph.n)
-    if sched is None:
+    sched = refine(graph, graph.n)
+    if sched.ii == graph.n:
         # No II below n is feasible for any placement; in particular
         # the identity search must agree that nothing is valid.
         assert find_valid_ii(graph, graph.n) is None
         return
-    assert 1 <= sched.ii < max(graph.n, 2)
+    assert 1 <= sched.ii < graph.n
     _check_schedule(graph, sched)
 
 
@@ -82,7 +82,7 @@ def test_refine_never_exceeds_heuristic_ii(graph):
     heuristic_ii = find_valid_ii(graph, graph.n)
     if heuristic_ii is None:
         return
-    sched = ExactScheduler().refine(graph, heuristic_ii)
+    sched = refine(graph, heuristic_ii)
     assert sched.ii <= heuristic_ii
     _check_schedule(graph, sched)
     # Optimality claims and budget exhaustion are mutually exclusive.
@@ -95,7 +95,7 @@ def test_budget_exhaustion_is_never_reported_optimal(graph):
     heuristic_ii = find_valid_ii(graph, graph.n)
     if heuristic_ii is None:
         return
-    sched = ExactScheduler(budget_nodes=1).refine(graph, heuristic_ii)
+    sched = refine(graph, heuristic_ii, budget_nodes=1)
     assert sched.ii <= heuristic_ii
     _check_schedule(graph, sched)
     if sched.exhausted:

@@ -131,6 +131,27 @@ def test_accepts_scalar_expansion_schedule():
     assert report.structural
 
 
+def test_accepts_aliased_stores_in_emission_order():
+    """``C[4] = 1.5`` is both MI2 of iteration 0 and MI1 of iteration 2.
+    The replay must take the first emitted copy as MI2 (row 2), not MI1
+    (row 5), or the distance-2 flow edge MI2 -> MI0 reads as use before
+    def (a false V205)."""
+    source = """
+    float C[96];
+    float s = 0.5;
+    for (i = 2; i < 5; i += 1) {
+        s = C[i];
+        C[i] = 1.5;
+        C[i + 2] = 1.5;
+    }
+    """
+    result, loop = transform(source, enable_filter=False)
+    assert result.applied and result.ii == 2
+    report = validate_result(result, loop)
+    assert report.structural
+    assert report.ok, [d.format() for d in report.diagnostics]
+
+
 def test_declined_result_is_trivially_ok():
     # A tight recurrence: declined with "no MI can be decomposed".
     result, loop = transform(
