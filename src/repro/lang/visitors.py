@@ -205,17 +205,6 @@ def defined_scalars(stmt: Stmt) -> Set[str]:
 # ---------------------------------------------------------------------------
 
 
-class _IndexSubstituter(NodeTransformer):
-    def __init__(self, var: str, replacement: Expr):
-        self.var = var
-        self.replacement = replacement
-
-    def visit_Var(self, node: Var) -> Expr:
-        if node.name == self.var:
-            return self.replacement.clone()
-        return node.clone()
-
-
 def _fold_binop(
     op: str, left: Expr, right: Expr, loc, orig: Optional[BinOp] = None
 ) -> Expr:
@@ -225,7 +214,7 @@ def _fold_binop(
     original node is returned instead of an identical rebuild (see the
     ``reuse`` mode of the rewriters below).
     """
-    if isinstance(left, IntLit) and isinstance(right, IntLit):
+    if type(left) is IntLit and type(right) is IntLit:
         if op == "+":
             return IntLit(left.value + right.value, loc)
         if op == "-":
@@ -235,10 +224,10 @@ def _fold_binop(
     # (v + a) + b  ->  v + (a+b)
     if (
         op in ("+", "-")
-        and isinstance(right, IntLit)
-        and isinstance(left, BinOp)
+        and type(right) is IntLit
+        and type(left) is BinOp
         and left.op in ("+", "-")
-        and isinstance(left.right, IntLit)
+        and type(left.right) is IntLit
     ):
         a = left.right.value if left.op == "+" else -left.right.value
         b = right.value if op == "+" else -right.value
@@ -248,101 +237,51 @@ def _fold_binop(
         if total > 0:
             return BinOp("+", left.left, IntLit(total), loc)
         return BinOp("-", left.left, IntLit(-total), loc)
-    if op in ("+", "-") and isinstance(right, IntLit) and right.value == 0:
+    if op in ("+", "-") and type(right) is IntLit and right.value == 0:
         return left
-    if op == "+" and isinstance(left, IntLit) and left.value == 0:
+    if op == "+" and type(left) is IntLit and left.value == 0:
         return right
     if orig is not None and left is orig.left and right is orig.right:
         return orig
     return BinOp(op, left, right, loc)
 
 
-def _fold(expr: Expr, reuse: bool = False) -> Expr:
-    """Constant-fold integer +/-/* so shifted indices stay readable.
+def _subst_fold(
+    expr: Expr,
+    var: Optional[str],
+    replacement: Optional[Expr],
+    reuse: bool = False,
+) -> Expr:
+    """Substitute ``replacement`` for every ``Var(var)`` in ``expr`` and
+    constant-fold integer +/-/* (so shifted indices stay readable), in a
+    single bottom-up pass; ``var`` ``None`` only folds.
+
+    The substitution only touches ``Var`` leaves and folding is
+    bottom-up, so folding substituted children before the parent builds
+    the same tree as substituting first and folding after.  Untouched
+    leaves are shared with the input, never mutated.
 
     With ``reuse`` the pass returns the *original* subtree object
-    wherever nothing folded — the output then shares interior nodes
-    (not just leaves) with the input.  Callers that treat both trees as
-    read-only (the schedule validator) opt in to make repeated
-    canonicalization of shared subtrees O(1); everyone else keeps the
-    rebuild-always behaviour.
+    wherever nothing changed — the output then shares interior nodes
+    (not just leaves) with the input — and every substituted occurrence
+    is ``replacement`` itself, which the caller has already folded.
+    Callers that treat both trees as read-only (the schedule validator)
+    opt in to make repeated canonicalization of shared subtrees O(1);
+    everyone else keeps the rebuild-always behaviour.
+
+    Dispatch is on the exact node class: no AST node class is
+    subclassed.
     """
-    if isinstance(expr, BinOp):
-        return _fold_binop(
-            expr.op,
-            _fold(expr.left, reuse),
-            _fold(expr.right, reuse),
-            expr.loc,
-            expr if reuse else None,
-        )
-    if isinstance(expr, (Var, IntLit, FloatLit)):
+    kind = type(expr)
+    if kind is Var:
+        if expr.name != var:
+            return expr
+        if reuse:
+            return replacement  # type: ignore[return-value]
+        return _subst_fold(replacement.clone(), None, None)  # type: ignore[union-attr]
+    if kind is IntLit or kind is FloatLit:
         return expr
-    if isinstance(expr, ArrayRef):
-        indices = [_fold(i, reuse) for i in expr.indices]
-        if reuse and all(n is o for n, o in zip(indices, expr.indices)):
-            return expr
-        return ArrayRef(expr.name, indices, expr.loc)
-    if isinstance(expr, UnaryOp):
-        inner = _fold(expr.operand, reuse)
-        if expr.op == "-" and isinstance(inner, IntLit):
-            return IntLit(-inner.value, expr.loc)
-        if reuse and inner is expr.operand:
-            return expr
-        return UnaryOp(expr.op, inner, expr.loc)
-    if isinstance(expr, Ternary):
-        cond = _fold(expr.cond, reuse)
-        then = _fold(expr.then, reuse)
-        els = _fold(expr.els, reuse)
-        if reuse and cond is expr.cond and then is expr.then and els is expr.els:
-            return expr
-        return Ternary(cond, then, els, expr.loc)
-    if isinstance(expr, Call):
-        args = [_fold(a, reuse) for a in expr.args]
-        if reuse and all(n is o for n, o in zip(args, expr.args)):
-            return expr
-        return Call(expr.name, args, expr.loc)
-    return expr
-
-
-class _Folder(NodeTransformer):
-    def __init__(self, reuse: bool = False):
-        self.reuse = reuse
-
-    def visit(self, node: Node) -> Node:
-        if isinstance(node, Expr):
-            return _fold(node, self.reuse)
-        return self.generic_visit(node)
-
-
-def fold_constants(node: Node, reuse: bool = False) -> Node:
-    """Return a copy with integer constant arithmetic folded.
-
-    ``reuse`` opts in to sharing unchanged *interior* nodes with the
-    input (see :func:`_fold`); only safe when the caller never mutates
-    either tree.
-    """
-    return _Folder(reuse).visit(node)
-
-
-def _subst_fold(
-    expr: Expr, var: str, replacement: Expr, reuse: bool = False
-) -> Expr:
-    """``_fold`` of the ``var`` → ``replacement`` substitution of
-    ``expr``, in a single bottom-up pass.
-
-    Structurally identical to
-    ``_fold(_IndexSubstituter(var, replacement).visit(expr))`` — the
-    substitution only touches ``Var`` leaves and ``_fold`` is bottom-up,
-    so folding substituted children before the parent is the same tree
-    the two-pass pipeline builds.  Like ``_fold``, untouched leaves are
-    shared with the input, never mutated; with ``reuse``, untouched
-    interior nodes are shared too (read-only callers only).
-    """
-    if isinstance(expr, Var):
-        return _fold(replacement.clone()) if expr.name == var else expr
-    if isinstance(expr, (IntLit, FloatLit)):
-        return expr
-    if isinstance(expr, BinOp):
+    if kind is BinOp:
         return _fold_binop(
             expr.op,
             _subst_fold(expr.left, var, replacement, reuse),
@@ -350,26 +289,26 @@ def _subst_fold(
             expr.loc,
             expr if reuse else None,
         )
-    if isinstance(expr, ArrayRef):
+    if kind is ArrayRef:
         indices = [_subst_fold(i, var, replacement, reuse) for i in expr.indices]
         if reuse and all(n is o for n, o in zip(indices, expr.indices)):
             return expr
         return ArrayRef(expr.name, indices, expr.loc)
-    if isinstance(expr, UnaryOp):
+    if kind is UnaryOp:
         inner = _subst_fold(expr.operand, var, replacement, reuse)
-        if expr.op == "-" and isinstance(inner, IntLit):
+        if expr.op == "-" and type(inner) is IntLit:
             return IntLit(-inner.value, expr.loc)
         if reuse and inner is expr.operand:
             return expr
         return UnaryOp(expr.op, inner, expr.loc)
-    if isinstance(expr, Ternary):
+    if kind is Ternary:
         cond = _subst_fold(expr.cond, var, replacement, reuse)
         then = _subst_fold(expr.then, var, replacement, reuse)
         els = _subst_fold(expr.els, var, replacement, reuse)
         if reuse and cond is expr.cond and then is expr.then and els is expr.els:
             return expr
         return Ternary(cond, then, els, expr.loc)
-    if isinstance(expr, Call):
+    if kind is Call:
         args = [_subst_fold(a, var, replacement, reuse) for a in expr.args]
         if reuse and all(n is o for n, o in zip(args, expr.args)):
             return expr
@@ -378,7 +317,7 @@ def _subst_fold(
 
 
 class _SubstFolder(NodeTransformer):
-    def __init__(self, var: str, replacement: Expr, reuse: bool = False):
+    def __init__(self, var: Optional[str], replacement: Optional[Expr], reuse: bool):
         self.var = var
         self.replacement = replacement
         self.reuse = reuse
@@ -387,6 +326,34 @@ class _SubstFolder(NodeTransformer):
         if isinstance(node, Expr):
             return _subst_fold(node, self.var, self.replacement, self.reuse)
         return self.generic_visit(node)
+
+
+def _rewrite(
+    node: Node, var: Optional[str], replacement: Optional[Expr], reuse: bool
+) -> Node:
+    if reuse and replacement is not None:
+        replacement = _subst_fold(replacement, None, None, True)
+    if type(node) is Assign:
+        # Nearly every rewritten statement is an assignment (the
+        # schedule validator rewrites one per replayed instance):
+        # rebuild those directly, not through the transformer's dispatch.
+        return Assign(
+            _subst_fold(node.target, var, replacement, reuse),
+            _subst_fold(node.value, var, replacement, reuse),
+            node.op,
+            node.loc,
+        )
+    return _SubstFolder(var, replacement, reuse).visit(node)
+
+
+def fold_constants(node: Node, reuse: bool = False) -> Node:
+    """Return a copy with integer constant arithmetic folded.
+
+    ``reuse`` opts in to sharing unchanged *interior* nodes with the
+    input (see :func:`_subst_fold`); only safe when the caller never
+    mutates either tree.
+    """
+    return _rewrite(node, None, None, reuse)
 
 
 def substitute_index(node: Node, var: str, offset: int) -> Node:
@@ -402,7 +369,7 @@ def substitute_index(node: Node, var: str, offset: int) -> Node:
         replacement = BinOp("+", Var(var), IntLit(offset))
     else:
         replacement = BinOp("-", Var(var), IntLit(-offset))
-    return _SubstFolder(var, replacement).visit(node)
+    return substitute_expr(node, var, replacement)
 
 
 def substitute_expr(
@@ -411,10 +378,11 @@ def substitute_expr(
     """Return a copy with every ``Var(var)`` replaced by ``replacement``,
     folding constants as it rebuilds (one fused pass).
 
-    ``reuse`` opts in to sharing unchanged interior nodes with the
-    input (see :func:`_fold`); only safe for read-only callers.
+    ``reuse`` opts in to sharing unchanged interior nodes, and one
+    folded ``replacement``, with the input (see :func:`_subst_fold`);
+    only safe for read-only callers.
     """
-    return _SubstFolder(var, replacement, reuse).visit(node)
+    return _rewrite(node, var, replacement, reuse)
 
 
 class _ScalarRenamer(NodeTransformer):

@@ -50,6 +50,9 @@ skipped with an ``N208`` note, never a false error.
 
 from __future__ import annotations
 
+import gc
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -154,6 +157,20 @@ def _eval_int(expr: Expr, env: Dict[str, int]) -> Optional[int]:
     return None
 
 
+def _instance(stmt: Stmt, var: str, value: Optional[int]) -> Stmt:
+    """``stmt`` with loop variable ``var`` bound to ``value`` (left free
+    when ``None``) and integer constants folded.
+
+    The rewriters never mutate their input, and with ``reuse`` the
+    instance shares unchanged interior nodes with ``stmt`` — safe
+    because replay treats every tree as read-only, and it makes the
+    canonical-key memo hit across iterations.
+    """
+    if value is None:
+        return fold_constants(stmt, reuse=True)  # type: ignore[return-value]
+    return substitute_expr(stmt, var, IntLit(value), reuse=True)  # type: ignore[return-value]
+
+
 class _FlattenBailout(Exception):
     """The statement list cannot be concretely replayed."""
 
@@ -209,16 +226,7 @@ def _flatten(stmts: List[Stmt], var: str, env: Dict[str, int], out: List[Stmt]) 
         elif isinstance(stmt, While):
             raise _FlattenBailout("emitted while loop cannot be replayed")
         else:
-            if var in env:
-                # The rewriters never mutate their input, and with
-                # ``reuse`` the event shares unchanged interior nodes
-                # with the emitted statement — safe because replay
-                # treats every tree as read-only, and it makes the
-                # canonical-key memo hit across iterations.
-                event = substitute_expr(stmt, var, IntLit(env[var]), reuse=True)
-            else:
-                event = fold_constants(stmt, reuse=True)
-            out.append(event)  # type: ignore[arg-type]
+            out.append(_instance(stmt, var, env.get(var)))
             if len(out) > _MAX_EVENTS:
                 raise _FlattenBailout("flattening event budget exceeded")
 
@@ -242,8 +250,15 @@ def _canon(
     canonicalizes the same subtree objects many times over; a shared
     memo turns those into O(1) lookups.  Only valid while every
     canonicalized root stays referenced (ids must not be recycled) —
-    callers keep instances/events alive for the whole session.
+    callers keep instances/events alive for the whole session.  The
+    leaves are answered before the memo: their keys cost less to build
+    than to look up.
     """
+    kind = type(node)
+    if kind is Var:
+        return "□"
+    if kind is IntLit:
+        return ("i", node.value)
     if memo is not None:
         hit = memo.get(id(node))
         if hit is not None:
@@ -259,48 +274,45 @@ def _canon_compute(
     wildcard_arrays: Set[str],
     memo: Optional[Dict[int, object]],
 ) -> object:
-    if isinstance(node, Var):
-        return "□"
-    if isinstance(node, IntLit):
-        return ("i", node.value)
-    if isinstance(node, FloatLit):
+    kind = type(node)
+    if kind is FloatLit:
         return ("f", repr(node.value))
-    if isinstance(node, ArrayRef):
+    if kind is ArrayRef:
         if node.name in wildcard_arrays:
             return "□"
         return ("ref", node.name, tuple(_canon(i, wildcard_arrays, memo) for i in node.indices))
-    if isinstance(node, BinOp):
+    if kind is BinOp:
         return ("b", node.op, _canon(node.left, wildcard_arrays, memo), _canon(node.right, wildcard_arrays, memo))
-    if isinstance(node, UnaryOp):
+    if kind is UnaryOp:
         return ("u", node.op, _canon(node.operand, wildcard_arrays, memo))
-    if isinstance(node, Ternary):
+    if kind is Ternary:
         return (
             "t",
             _canon(node.cond, wildcard_arrays, memo),
             _canon(node.then, wildcard_arrays, memo),
             _canon(node.els, wildcard_arrays, memo),
         )
-    if isinstance(node, Call):
+    if kind is Call:
         return ("call", node.name, tuple(_canon(a, wildcard_arrays, memo) for a in node.args))
-    if isinstance(node, Assign):
+    if kind is Assign:
         return (
             "=",
             node.op,
             _canon(node.target, wildcard_arrays, memo),
             _canon(node.value, wildcard_arrays, memo),
         )
-    if isinstance(node, If):
+    if kind is If:
         return (
             "if",
             _canon(node.cond, wildcard_arrays, memo),
             tuple(_canon(s, wildcard_arrays, memo) for s in node.then),
             tuple(_canon(s, wildcard_arrays, memo) for s in node.els),
         )
-    if isinstance(node, ExprStmt):
+    if kind is ExprStmt:
         return ("e", _canon(node.expr, wildcard_arrays, memo))
-    if isinstance(node, ParGroup):
+    if kind is ParGroup:
         return ("par", tuple(_canon(s, wildcard_arrays, memo) for s in node.stmts))
-    return ("?", type(node).__name__)
+    return ("?", kind.__name__)
 
 
 # A concrete storage location in the replayed program:
@@ -329,7 +341,7 @@ def _event_location(node: Expr) -> Optional[Location]:
 
 
 def _rename_admits(
-    ev_name: str, pat_name: str, origins: Dict[str, str]
+    ev_name: str, pat_name: str, origins: Optional[Dict[str, str]]
 ) -> bool:
     """May rename ``ev_name`` stand for pattern scalar ``pat_name``?
 
@@ -361,10 +373,15 @@ def _unify(
     land in *different* rotated names), or as an element of a
     scalar-expansion array.  Which value those locations hold is not
     decided here; the store replay checks that afterwards.
+
+    Dispatch is on the exact node class (no AST node class is
+    subclassed), so a pattern and an event of different classes never
+    unify.
     """
-    origins = origins or {}
-    if isinstance(pat, Var):
-        if isinstance(ev, Var) and (
+    kind = type(pat)
+    if kind is Var:
+        ev_kind = type(ev)
+        if ev_kind is Var and (
             ev.name == pat.name
             or (
                 ev.name in rename_scalars
@@ -372,7 +389,7 @@ def _unify(
             )
         ):
             loc = _event_location(ev)
-        elif isinstance(ev, ArrayRef) and ev.name in rename_arrays and (
+        elif ev_kind is ArrayRef and ev.name in rename_arrays and (
             _rename_admits(ev.name, pat.name, origins)
         ):
             loc = _event_location(ev)
@@ -381,12 +398,12 @@ def _unify(
         assert loc is not None
         (bindings.defs if role == "def" else bindings.uses).append((pat.name, loc))
         return True
-    if isinstance(pat, IntLit):
-        return isinstance(ev, IntLit) and ev.value == pat.value
-    if isinstance(pat, FloatLit):
-        return isinstance(ev, FloatLit) and ev.value == pat.value
-    if isinstance(pat, ArrayRef):
-        if not isinstance(ev, ArrayRef) or ev.name != pat.name:
+    if kind is IntLit:
+        return type(ev) is IntLit and ev.value == pat.value
+    if kind is FloatLit:
+        return type(ev) is FloatLit and ev.value == pat.value
+    if kind is ArrayRef:
+        if type(ev) is not ArrayRef or ev.name != pat.name:
             return False
         if len(ev.indices) != len(pat.indices):
             return False
@@ -394,29 +411,29 @@ def _unify(
             _unify(p, e, rename_scalars, rename_arrays, bindings, origins=origins)
             for p, e in zip(pat.indices, ev.indices)
         )
-    if isinstance(pat, BinOp):
+    if kind is BinOp:
         return (
-            isinstance(ev, BinOp)
+            type(ev) is BinOp
             and ev.op == pat.op
             and _unify(pat.left, ev.left, rename_scalars, rename_arrays, bindings, origins=origins)
             and _unify(pat.right, ev.right, rename_scalars, rename_arrays, bindings, origins=origins)
         )
-    if isinstance(pat, UnaryOp):
+    if kind is UnaryOp:
         return (
-            isinstance(ev, UnaryOp)
+            type(ev) is UnaryOp
             and ev.op == pat.op
             and _unify(pat.operand, ev.operand, rename_scalars, rename_arrays, bindings, origins=origins)
         )
-    if isinstance(pat, Ternary):
+    if kind is Ternary:
         return (
-            isinstance(ev, Ternary)
+            type(ev) is Ternary
             and _unify(pat.cond, ev.cond, rename_scalars, rename_arrays, bindings, origins=origins)
             and _unify(pat.then, ev.then, rename_scalars, rename_arrays, bindings, origins=origins)
             and _unify(pat.els, ev.els, rename_scalars, rename_arrays, bindings, origins=origins)
         )
-    if isinstance(pat, Call):
+    if kind is Call:
         return (
-            isinstance(ev, Call)
+            type(ev) is Call
             and ev.name == pat.name
             and len(ev.args) == len(pat.args)
             and all(
@@ -424,10 +441,10 @@ def _unify(
                 for p, e in zip(pat.args, ev.args)
             )
         )
-    if isinstance(pat, Assign):
-        if not isinstance(ev, Assign) or ev.op != pat.op:
+    if kind is Assign:
+        if type(ev) is not Assign or ev.op != pat.op:
             return False
-        if isinstance(pat.target, Var):
+        if type(pat.target) is Var:
             if not _unify(
                 pat.target, ev.target, rename_scalars, rename_arrays, bindings, role="def", origins=origins
             ):
@@ -440,9 +457,9 @@ def _unify(
             if not _unify(pat.target, ev.target, rename_scalars, rename_arrays, bindings, origins=origins):
                 return False
         return _unify(pat.value, ev.value, rename_scalars, rename_arrays, bindings, origins=origins)
-    if isinstance(pat, If):
+    if kind is If:
         return (
-            isinstance(ev, If)
+            type(ev) is If
             and len(ev.then) == len(pat.then)
             and len(ev.els) == len(pat.els)
             and _unify(pat.cond, ev.cond, rename_scalars, rename_arrays, bindings, origins=origins)
@@ -455,8 +472,8 @@ def _unify(
                 for p, e in zip(pat.els, ev.els)
             )
         )
-    if isinstance(pat, ExprStmt):
-        return isinstance(ev, ExprStmt) and _unify(
+    if kind is ExprStmt:
+        return type(ev) is ExprStmt and _unify(
             pat.expr, ev.expr, rename_scalars, rename_arrays, bindings
         )
     return False
@@ -539,14 +556,93 @@ class _Capped:
             )
 
 
+class _CollectorPause:
+    """Pause CPython's cyclic garbage collector while any thread is
+    inside; re-entrant and shared across threads.
+
+    The replay keeps tens of thousands of AST nodes, tuples, lists and
+    dicts alive at once, and every allocation counts towards the
+    collector's thresholds, so an unpaused replay runs generation-0
+    collections by the hundred and, now and then, a full collection
+    over the whole heap — about a third of the validator's time.  None
+    of it finds garbage: the replay builds only acyclic trees, which
+    reference counting frees as soon as the last reference drops.
+    Pausing is therefore safe.  Cycles that other threads create
+    meanwhile are not lost, only deferred until no validation is in
+    flight: the allocation counts keep growing while paused, so the
+    first allocation after the last exit starts the collection they
+    would have started.  While validations keep overlapping (concurrent
+    verify requests on ``slms serve --no-isolation`` handler threads)
+    that deferral has no upper bound.
+
+    ``gc.enable``/``gc.disable`` are process-wide, so a plain
+    save/disable/restore per call would leave the collector off when
+    two validations interleave.  Instead the first entry saves the
+    state and disables, the last exit restores, and a lock guards the
+    count.  The fork hooks hold that lock across a fork, so a child
+    never inherits a collector switched off by an entry not yet counted
+    (or on by an exit not yet done).
+    """
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._was_enabled = False
+
+    def before_fork(self) -> None:
+        self._lock.acquire()
+
+    def after_fork_in_parent(self) -> None:
+        self._lock.release()
+
+    def after_fork_in_child(self) -> None:
+        # The child runs only the forking thread, which is never inside
+        # a validation (the validator does not fork): entries counted
+        # for the parent's other threads will never exit here, and the
+        # lock arrives held (before_fork took it).
+        if self._depth and self._was_enabled:
+            gc.enable()
+        self._reset()
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._depth == 0:
+                self._was_enabled = gc.isenabled()
+                gc.disable()
+            self._depth += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._was_enabled:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
+os.register_at_fork(
+    before=_COLLECTOR_PAUSE.before_fork,
+    after_in_parent=_COLLECTOR_PAUSE.after_fork_in_parent,
+    after_in_child=_COLLECTOR_PAUSE.after_fork_in_child,
+)
+
+
 def validate_result(result: SLMSResult, loop: For) -> ValidationReport:
     """Validate an SLMS outcome against the loop it transformed.
 
     Declined results validate trivially.  Applied results get the
     layer-1 modulo-constraint check always, and the layer-2 structural
     replay whenever the loop has literal bounds and the result shape is
-    replayable (``N208`` notes mark the skips).
+    replayable (``N208`` notes mark the skips).  The work runs with the
+    cyclic collector paused (see :class:`_CollectorPause`).
     """
+    with _COLLECTOR_PAUSE:
+        return _validate(result, loop)
+
+
+def _validate(result: SLMSResult, loop: For) -> ValidationReport:
     report = ValidationReport()
     bag = DiagnosticBag()
     if not result.applied:
@@ -668,21 +764,20 @@ def _structural_replay(
     # which is where the memo pays off.
     mi_memo: Dict[int, object] = {}
     event_memo: Dict[int, object] = {}
+    no_wildcards: Set[str] = set()
     instances: Dict[Tuple[int, int], Stmt] = {}
     index: Dict[object, List[Tuple[int, int]]] = {}
     for m, mi in enumerate(mis):
         if info.var in collect_vars(mi):
             for g in range(trips):
-                inst = substitute_expr(
-                    mi, info.var, IntLit(lo + g * info.step), reuse=True
-                )
-                instances[(m, g)] = inst  # type: ignore[assignment]
-                index.setdefault(_canon(inst, set(), mi_memo), []).append((m, g))
+                inst = _instance(mi, info.var, lo + g * info.step)
+                instances[(m, g)] = inst
+                index.setdefault(_canon(inst, no_wildcards, mi_memo), []).append((m, g))
         else:
-            inst = fold_constants(mi, reuse=True)
-            key = _canon(inst, set(), mi_memo)
+            inst = _instance(mi, info.var, None)
+            key = _canon(inst, no_wildcards, mi_memo)
             for g in range(trips):
-                instances[(m, g)] = inst  # type: ignore[assignment]
+                instances[(m, g)] = inst
                 index.setdefault(key, []).append((m, g))
 
     # ---- match events, replaying the store as we go ---------------------

@@ -8,6 +8,7 @@ from repro.analysis.loopinfo import LoopInfo
 from repro.core.mii import (
     difmin_feasible,
     find_valid_ii,
+    identity_feasible,
     pmii_cycle_ratio,
     pmii_difmin,
 )
@@ -158,19 +159,26 @@ class TestValidII:
         g = graph_from([("flow", 1, 0, 1)], 2)
         assert find_valid_ii(g, 2, max_ii=10) is None
 
-    def test_valid_ii_at_least_pmii(self):
-        # Fixed placement can never beat the recurrence bound.
-        samples = [
-            "for (i = 0; i < 50; i++) { t = A[i] * B[i]; s = s + t; }",
-            "for (i = 1; i < 50; i++) { A[i] = B[i]; C[i] = A[i-1]; }",
-            "for (i = 1; i < 50; i++) { t = A[i-1]; A[i] = t + 1.0; B[i] = t; }",
-        ]
-        for src in samples:
-            g = ddg_of(src)
-            ii = find_valid_ii(g, g.n)
-            pmii = pmii_cycle_ratio(g)
-            if ii is not None and pmii is not None:
-                assert ii >= min(pmii, g.n - 1) or ii >= 1
+    @pytest.mark.parametrize(
+        "src, ii, pmii",
+        [
+            ("for (i = 0; i < 50; i++) { t = A[i] * B[i]; s = s + t; }", 1, 2),
+            ("for (i = 1; i < 50; i++) { A[i] = B[i]; C[i] = A[i-1]; }", 1, None),
+            (
+                "for (i = 1; i < 50; i++) { t = A[i-1]; A[i] = t + 1.0; B[i] = t; }",
+                2,
+                3,
+            ),
+        ],
+        ids=["dot-product", "no-cycle", "carried-recurrence"],
+    )
+    def test_valid_ii_is_least_identity_feasible(self, src, ii, pmii):
+        g = ddg_of(src)
+        found = find_valid_ii(g, g.n)
+        assert (found, pmii_cycle_ratio(g)) == (ii, pmii)
+        assert identity_feasible(g, found)
+        if found > 1:
+            assert not identity_feasible(g, found - 1)
 
     def test_hydro_like_loop_ii_1(self):
         g = ddg_of(
