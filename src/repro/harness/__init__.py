@@ -34,7 +34,6 @@ from repro.harness.experiment import (
 from repro.harness.faults import (
     FailedResult,
     FaultPlan,
-    RetryPolicy,
     RunJournal,
     TaskError,
     TaskFailedError,
@@ -53,7 +52,6 @@ __all__ = [
     "FIGURES",
     "FailedResult",
     "FaultPlan",
-    "RetryPolicy",
     "RunJournal",
     "SweepResult",
     "TaskError",

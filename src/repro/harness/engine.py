@@ -22,20 +22,23 @@ cooperating layers make that cheap and unkillable:
    that goes wrong: a task that crashes its worker, hangs past the
    wall-clock limit, or raises comes back as a structured
    :class:`~repro.harness.faults.FailedResult` in its spec's slot —
-   never as an exception that aborts the run — with bounded
-   deterministic retries for transient kinds and an optional
-   checkpoint journal (``journal_path``/``resume``) that lets a killed
-   sweep resume byte-identical to an uninterrupted one.
+   never as an exception that aborts the run — with deterministic
+   retries for transient failures and an optional checkpoint journal
+   (``journal_path``/``resume``) that lets a killed sweep resume
+   byte-identical to an uninterrupted one.
 
-:func:`run_experiments` is the single entry point; ``run_suite``,
-``run_sweep`` and the figure harness all route through it.  Defaults
-(worker count, cache on/off, timeouts, fault plan) come from a
-module-level :class:`EngineConfig`, overridable per call or temporarily
-via :func:`engine_defaults` (how the CLI's ``--workers``/``--no-cache``/
+:func:`run_tasks` is the one guarded batch runner: journal replay, the
+fault plan (an explicit plan, else ``SLMS_FAULTS``), dispatch through
+:func:`~repro.harness.faults.execute_guarded`, journaling, the
+parent-side ``abort`` rule and the spec-order replay of task events.
+:func:`run_experiments` — which ``run_suite``, ``run_sweep`` and the
+figure harness route through — adds the ``full``-tier cache in front
+of it and :class:`EngineStats` around it.  Defaults (worker count,
+cache on/off, timeouts, fault plan) come from a module-level
+:class:`EngineConfig`, overridable per call or temporarily via
+:func:`engine_defaults` (how the CLI's ``--workers``/``--no-cache``/
 ``--timeout`` flags reach the figure suite without threading knobs
-through every figure function).  Fault injection for the chaos suite
-activates through ``EngineConfig.fault_plan`` or the ``SLMS_FAULTS``
-environment variable.
+through every figure function).
 
 ``ENGINE_VERSION`` participates in every cache key.  Bump it whenever a
 change anywhere in the pipeline (transforms, backend, simulator
@@ -49,7 +52,16 @@ import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.backend.compiler import CompilerConfig
 from repro.core.slms import SLMSOptions
@@ -63,8 +75,6 @@ from repro.harness.expcache import (
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.faults import (
     FaultPlan,
-    FaultPolicy,
-    RetryPolicy,
     RunJournal,
     execute_guarded,
     is_failed,
@@ -88,9 +98,7 @@ class EngineConfig:
     uncached experiments); ``workers=1`` is the serial fallback that
     never spawns processes.  ``task_timeout_s`` is the per-task
     wall-clock limit (None = unlimited; setting one forces pooled
-    dispatch so a stuck task can be contained).  ``retry`` and
-    ``crash_strikes`` bound re-attempts (see
-    :class:`~repro.harness.faults.RetryPolicy`); ``fault_plan`` injects
+    dispatch so a stuck task can be contained).  ``fault_plan`` injects
     deterministic chaos for the test suite (also reachable via the
     ``SLMS_FAULTS`` environment variable).  ``journal_path`` checkpoints
     completed specs to a :class:`~repro.harness.faults.RunJournal`;
@@ -101,8 +109,6 @@ class EngineConfig:
     use_cache: bool = True
     cache_dir: Optional[str] = None
     task_timeout_s: Optional[float] = None
-    retry: RetryPolicy = RetryPolicy()
-    crash_strikes: int = 2
     fault_plan: Optional[FaultPlan] = None
     journal_path: Optional[str] = None
     resume: bool = False
@@ -174,8 +180,8 @@ class EngineStats:
 
     ``cache_hits``/``cache_misses``/``cache_evictions`` count the
     run's ``full``-tier lookups (evictions are corrupt entries
-    quarantined on read).  ``journal_hits`` are specs replayed from a
-    resume journal;
+    quarantined on read; with the cache off every spec is a miss).
+    ``journal_hits`` are the misses replayed from a resume journal;
     ``failures``/``retries``/``quarantined``/``timeouts`` summarize the
     fault layer's activity (all zero on a clean run).
     """
@@ -321,91 +327,132 @@ def run_tasks(
     workers: Optional[int] = None,
     *,
     timeout_s: Optional[float] = None,
-    retry: Optional[RetryPolicy] = None,
     fault_plan: Optional[FaultPlan] = None,
     journal: Optional[RunJournal] = None,
     keys: Optional[Sequence[str]] = None,
     labels: Optional[Sequence[str]] = None,
+    specs: Optional[Sequence[Dict[str, str]]] = None,
+    on_result: Optional[Callable[[int, Any, bool], None]] = None,
+    stats: Optional[EngineStats] = None,
 ) -> List:
     """Guarded deterministic map: ``[fn(item) for item in items]``.
 
-    The generic sibling of :func:`run_experiments` for work that is not
-    an experiment (the fuzzer's case evaluation, batch validation).
-    ``fn`` must be a picklable module-level function of one argument and
-    a *pure* one — results are collected in item order and must not
-    depend on scheduling.
+    The one guarded batch runner: :func:`run_experiments` hands it its
+    cache misses, and the fuzzer its cases.  ``fn`` must be a picklable
+    module-level function of one argument and a *pure* one — results
+    are collected in item order and must not depend on scheduling.
 
     A task that raises (or crashes its worker, or exceeds ``timeout_s``)
     yields a :class:`~repro.harness.faults.FailedResult` in its slot
-    instead of aborting the run; transient failures retry per ``retry``.
+    instead of aborting the run; ``specs`` gives each such record its
+    task's identity.  ``fault_plan`` injects chaos (None reads
+    ``SLMS_FAULTS``; an explicit empty plan never does), its indices
+    addressing positions among the items actually dispatched.
+
     Pass a :class:`~repro.harness.faults.RunJournal` to checkpoint
     completed items (keyed by ``keys``, defaulting to each item's
     :func:`~repro.harness.faults.task_key`); on a resume journal, items
-    with an ``ok`` record are replayed without re-running, so results
-    must be JSON-able for the round-trip to be lossless.
+    with an ``ok`` record are replayed without re-running, as their
+    stored JSON.  A result is journaled as its ``to_dict()`` when it
+    has one, else as itself, which must then be JSON-able.
+
+    ``on_result(index, result, corrupt_cache)`` fires as each dispatched
+    item succeeds, before its journal record (the engine writes its
+    cache there; ``corrupt_cache`` is whether a ``corrupt-cache`` rule
+    targets the item).  An ``abort:N`` rule hard-exits the process with
+    status 137 after N dispatched items conclude.  ``stats`` gains the
+    run's journal replays, worker count, retries and failures.
 
     When the parent is tracing, each task runs under its own
     tracer/metrics registry and payloads are absorbed in item order, so
-    traces and metrics are worker-count-invariant exactly like the
-    experiment path.
+    traces and metrics are worker-count-invariant.
     """
     tracer = get_tracer()
     items = list(items)
     if journal is not None and keys is None:
         keys = [task_key(item) for item in items]
+    labels = (
+        list(labels) if labels else [f"task[{i}]" for i in range(len(items))]
+    )
     results: List = [None] * len(items)
     pending: List[int] = []
     for i in range(len(items)):
-        if journal is not None:
-            stored = journal.completed_ok(keys[i])
-            if stored is not None:
-                results[i] = stored
-                continue
-        pending.append(i)
+        stored = journal.completed_ok(keys[i]) if journal is not None else None
+        if stored is None:
+            pending.append(i)
+            continue
+        results[i] = stored
+        if stats is not None:
+            stats.journal_hits += 1
+        if tracer.enabled:
+            tracer.event("engine.journal.hit", task=labels[i])
+    n_workers = _resolve_workers(workers, len(pending))
+    if stats is not None:
+        stats.workers = n_workers
     if not pending:
         return results
 
     plan = fault_plan if fault_plan is not None else FaultPlan.from_env()
-    policy = FaultPolicy(
-        timeout_s=timeout_s,
-        retry=retry or RetryPolicy(),
-        fault_plan=plan.resolved(len(pending)) if plan else None,
-    )
-    pending_labels = (
-        [labels[i] for i in pending]
-        if labels
-        else [f"task[{i}]" for i in pending]
-    )
+    plan = plan.resolved(len(pending)) if plan else None
+    corrupt_at = plan.corrupt_cache_indices() if plan else frozenset()
+    abort_at = plan.abort_after() if plan else None
+    completions = 0
 
     def on_complete(pos: int, out) -> None:
-        if journal is None:
-            return
-        key = keys[pending[pos]]
-        if out.ok:
-            journal.record(key, "ok", out.value)
-        else:
-            journal.record(key, "failed", out.failure.to_dict())
+        nonlocal completions
+        i = pending[pos]
+        if out.ok and on_result is not None:
+            on_result(i, out.value, pos in corrupt_at)
+        if journal is not None:
+            if out.ok:
+                value = out.value
+                if hasattr(value, "to_dict"):
+                    value = value.to_dict()
+                journal.record(keys[i], "ok", value)
+            else:
+                journal.record(keys[i], "failed", out.failure.to_dict())
+        completions += 1
+        if abort_at is not None and completions >= abort_at:
+            # Simulated SIGKILL mid-run: flush the journal and die
+            # without cleanup, like the real thing.
+            if journal is not None:
+                journal.flush()
+            os._exit(137)
 
     outcomes = execute_guarded(
         fn,
         [items[i] for i in pending],
-        workers=_resolve_workers(workers, len(pending)),
-        policy=policy,
-        labels=pending_labels,
+        workers=n_workers,
+        timeout_s=timeout_s,
+        fault_plan=plan,
+        labels=[labels[i] for i in pending],
+        specs=[specs[i] for i in pending] if specs else None,
         traced=tracer.enabled,
         on_complete=on_complete,
     )
     registry = get_metrics()
-    for pos, out in enumerate(outcomes):
+    for i, out in zip(pending, outcomes):
         if tracer.enabled:
-            _emit_task_events(tracer, registry, pending_labels[pos], out)
-        results[pending[pos]] = out.value if out.ok else out.failure
+            _emit_task_events(tracer, registry, labels[i], out)
+        if out.ok:
+            results[i] = out.value
+        else:
+            results[i] = out.failure
+        if stats is not None:
+            stats.retries += sum(
+                1 for entry in out.log if entry["event"] == "retry"
+            )
+            if not out.ok:
+                stats.failures += 1
+                if out.failure.quarantined:
+                    stats.quarantined += 1
+                if out.failure.kind == "timeout":
+                    stats.timeouts += 1
     return results
 
 
 def run_experiments(
     specs: Sequence[ExperimentSpec],
-    config: Optional[EngineConfig] = None,
     workers: Optional[int] = None,
     use_cache: Optional[bool] = None,
     cache_dir: Optional[str] = None,
@@ -416,42 +463,39 @@ def run_experiments(
 ) -> Tuple[List[ExperimentResult], EngineStats]:
     """Run every spec; returns results in spec order plus stats.
 
-    Journal replays (on ``resume``) and cached results are filled in
-    first (no process overhead for hits); the remaining specs run
-    through the guarded dispatcher — pooled, or in-process when one
-    worker suffices and no containment is needed.  Result order, and
-    result *content*, never depend on the worker count, the cache state
-    or a resume: the pipeline is deterministic and the content hash
-    covers every input.
+    Each spec is looked up in the ``full`` cache tier first (no process
+    overhead for hits); the misses go to :func:`run_tasks`, which
+    replays any the resume journal holds and runs the rest — pooled,
+    or in-process when one worker suffices and no containment is
+    needed.  A spec both cached and journaled is thus served from the
+    cache.  Result order, and result *content*, never depend on the
+    worker count, the cache state or a resume: the pipeline is
+    deterministic and the content hash covers every input.  Arguments
+    left None take the :class:`EngineConfig` default.
 
     A spec whose task fails (crash / hang / exception) contributes a
     :class:`~repro.harness.faults.FailedResult` in its slot — callers
     that need every entry to be an ``ExperimentResult`` must check
-    :func:`~repro.harness.faults.is_failed` (or use
-    ``run_suite(on_failure="raise")``).
+    :func:`~repro.harness.faults.is_failed` (or use ``run_suite``,
+    which raises).
     """
-    base = config or get_default_engine()
-    overrides: Dict[str, object] = {}
-    if workers is not None:
-        overrides["workers"] = workers
-    if use_cache is not None:
-        overrides["use_cache"] = use_cache
-    if cache_dir is not None:
-        overrides["cache_dir"] = cache_dir
-    if task_timeout_s is not None:
-        overrides["task_timeout_s"] = task_timeout_s
-    if journal_path is not None:
-        overrides["journal_path"] = journal_path
-    if resume is not None:
-        overrides["resume"] = resume
-    if fault_plan is not None:
-        overrides["fault_plan"] = fault_plan
-    if overrides:
-        base = replace(base, **overrides)
+    given = {
+        "workers": workers,
+        "use_cache": use_cache,
+        "cache_dir": cache_dir,
+        "task_timeout_s": task_timeout_s,
+        "journal_path": journal_path,
+        "resume": resume,
+        "fault_plan": fault_plan,
+    }
+    config = replace(
+        get_default_engine(),
+        **{name: value for name, value in given.items() if value is not None},
+    )
 
     t_start = time.perf_counter()
     stats = EngineStats(experiments=len(specs))
-    cache = ExperimentCache(base.cache_dir) if base.use_cache else None
+    cache = ExperimentCache(config.cache_dir) if config.use_cache else None
     store = cache.store if cache is not None else None
     evicted_before = store.evictions["full"] if store is not None else 0
     # The phase tiers live in the same store.  Traced runs bypass them:
@@ -463,12 +507,14 @@ def run_experiments(
         if store is not None and not get_tracer().enabled
         else None
     )
-    plan = (
-        base.fault_plan if base.fault_plan is not None else FaultPlan.from_env()
-    )
     journal = (
-        RunJournal(base.journal_path, resume=base.resume)
-        if base.journal_path
+        RunJournal(config.journal_path, resume=config.resume)
+        if config.journal_path
+        else None
+    )
+    keys = (
+        [spec.cache_key() for spec in specs]
+        if cache is not None or journal is not None
         else None
     )
     tracer = get_tracer()
@@ -476,28 +522,10 @@ def run_experiments(
     try:
         with tracer.span("engine.run", specs=len(specs)) as engine_span:
             results: List = [None] * len(specs)
-            pending: List[Tuple[int, ExperimentSpec, Optional[str]]] = []
+            misses: List[int] = []
             for index, spec in enumerate(specs):
-                key = (
-                    spec.cache_key()
-                    if cache is not None or journal is not None
-                    else None
-                )
-                if journal is not None:
-                    stored = journal.completed_ok(key)
-                    if stored is not None:
-                        results[index] = ExperimentResult.from_dict(stored)
-                        stats.journal_hits += 1
-                        if tracer.enabled:
-                            tracer.event(
-                                "engine.journal.hit",
-                                workload=spec.workload.name,
-                                machine=spec.machine.name,
-                                compiler=spec.compiler.name,
-                            )
-                        continue
                 t_lookup = time.perf_counter()
-                hit = cache.get(key) if cache is not None else None
+                hit = cache.get(keys[index]) if cache is not None else None
                 if hit is not None:
                     stats.cache_hits += 1
                     # A hit's stored phase times describe the *original*
@@ -521,7 +549,7 @@ def run_experiments(
                             compiler=spec.compiler.name,
                         )
                 else:
-                    pending.append((index, spec, key))
+                    misses.append(index)
                     if tracer.enabled and cache is not None:
                         tracer.event(
                             "engine.cache.miss",
@@ -529,83 +557,34 @@ def run_experiments(
                             machine=spec.machine.name,
                             compiler=spec.compiler.name,
                         )
-            stats.cache_misses = len(pending)
+            stats.cache_misses = len(misses)
 
-            n_workers = _resolve_workers(base.workers, len(pending))
-            stats.workers = n_workers
-            if pending:
-                # Fault-rule indices address positions in this dispatched
-                # (uncached, unjournaled) sequence; resolve '?' now so the
-                # parent-side rules (corrupt-cache, abort) see the same
-                # targets the workers do.
-                plan_r = plan.resolved(len(pending)) if plan else None
-                policy = FaultPolicy(
-                    timeout_s=base.task_timeout_s,
-                    retry=base.retry,
-                    crash_strikes=base.crash_strikes,
-                    fault_plan=plan_r,
-                )
-                corrupt_at = (
-                    plan_r.corrupt_cache_indices() if plan_r else frozenset()
-                )
-                abort_at = plan_r.abort_after() if plan_r else None
-                completions = 0
+            def store_result(i: int, result, corrupt_cache: bool) -> None:
+                key = keys[misses[i]]
+                cache.put(key, result)
+                if corrupt_cache:
+                    store.corrupt("full", key)
 
-                def on_complete(pos: int, out) -> None:
-                    nonlocal completions
-                    _index, _spec, key = pending[pos]
-                    if out.ok and cache is not None and key is not None:
-                        cache.put(key, out.value)
-                        if pos in corrupt_at:
-                            store.corrupt("full", key)
-                    if journal is not None and key is not None:
-                        if out.ok:
-                            journal.record(key, "ok", out.value.to_dict())
-                        else:
-                            journal.record(
-                                key, "failed", out.failure.to_dict()
-                            )
-                    completions += 1
-                    if abort_at is not None and completions >= abort_at:
-                        # Simulated SIGKILL mid-sweep: flush the journal
-                        # and die without cleanup, like the real thing.
-                        if journal is not None:
-                            journal.flush()
-                        os._exit(137)
-
-                labels = [spec.label() for _i, spec, _k in pending]
-                identities = [spec.identity() for _i, spec, _k in pending]
-                outcomes = execute_guarded(
-                    _run_spec,
-                    [
-                        _Task(spec, phase_cache_dir)
-                        for _i, spec, _k in pending
-                    ],
-                    workers=n_workers,
-                    policy=policy,
-                    labels=labels,
-                    specs=identities,
-                    traced=tracer.enabled,
-                    on_complete=on_complete,
+            computed = run_tasks(
+                _run_spec,
+                [_Task(specs[i], phase_cache_dir) for i in misses],
+                config.workers,
+                timeout_s=config.task_timeout_s,
+                fault_plan=config.fault_plan,
+                journal=journal,
+                keys=[keys[i] for i in misses] if keys else None,
+                labels=[specs[i].label() for i in misses],
+                specs=[specs[i].identity() for i in misses],
+                on_result=store_result if cache is not None else None,
+                stats=stats,
+            )
+            for index, result in zip(misses, computed):
+                # Journal replays come back as the stored JSON.
+                results[index] = (
+                    ExperimentResult.from_dict(result)
+                    if isinstance(result, dict)
+                    else result
                 )
-                registry = get_metrics()
-                for pos, ((index, _spec, _key), out) in enumerate(
-                    zip(pending, outcomes)
-                ):
-                    if tracer.enabled:
-                        _emit_task_events(tracer, registry, labels[pos], out)
-                    stats.retries += sum(
-                        1 for entry in out.log if entry["event"] == "retry"
-                    )
-                    if out.ok:
-                        results[index] = out.value
-                    else:
-                        results[index] = out.failure
-                        stats.failures += 1
-                        if out.failure.quarantined:
-                            stats.quarantined += 1
-                        if out.failure.kind == "timeout":
-                            stats.timeouts += 1
 
             totals: Dict[str, float] = {}
             cached_totals: Dict[str, float] = {}
@@ -663,16 +642,16 @@ def run_experiments(
             # traced runs (phase cache off) export the same metric set
             # as before.
             for tier in PHASE_TIERS:
-                hits = stats.tier_hits.get(tier, 0)
-                misses = stats.tier_misses.get(tier, 0)
-                if hits:
+                tier_hits = stats.tier_hits.get(tier, 0)
+                tier_misses = stats.tier_misses.get(tier, 0)
+                if tier_hits:
                     registry.counter(
                         f"engine.phase_cache.{tier}.hits"
-                    ).inc(hits)
-                if misses:
+                    ).inc(tier_hits)
+                if tier_misses:
                     registry.counter(
                         f"engine.phase_cache.{tier}.misses"
-                    ).inc(misses)
+                    ).inc(tier_misses)
             registry.gauge("engine.workers").set(stats.workers)
             registry.gauge("engine.worker_utilization").set(stats.utilization)
             if stats.journal_hits:

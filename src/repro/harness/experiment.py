@@ -470,7 +470,6 @@ def run_suite(
     verify: bool = True,
     workers: Optional[int] = None,
     use_cache: Optional[bool] = None,
-    on_failure: str = "raise",
 ) -> List[ExperimentResult]:
     """Run a list of workloads through the evaluation engine.
 
@@ -481,20 +480,15 @@ def run_suite(
 
     The engine never raises for a failed task — it returns a
     :class:`~repro.harness.faults.FailedResult` in the task's slot.
-    ``on_failure`` picks this function's stance: ``"raise"`` (default)
-    wraps any failures in a
-    :class:`~repro.harness.faults.TaskFailedError` so the figure
+    This function wraps any failures in a
+    :class:`~repro.harness.faults.TaskFailedError`, so the figure
     harness — which dereferences ``.speedup`` on every entry — keeps
-    exception semantics; ``"return"`` passes the mixed list through
-    for callers that triage failures themselves.
+    exception semantics; callers that triage failures themselves use
+    :func:`~repro.harness.engine.run_experiments`.
     """
     from repro.harness.engine import ExperimentSpec, run_experiments
     from repro.harness.faults import TaskFailedError, is_failed
 
-    if on_failure not in ("raise", "return"):
-        raise ValueError(
-            f"on_failure must be 'raise' or 'return', got {on_failure!r}"
-        )
     if isinstance(machine, str):
         machine = machine_by_name(machine)
     if isinstance(compiler, str):
@@ -504,8 +498,7 @@ def run_suite(
         for wl in workloads
     ]
     results, _ = run_experiments(specs, workers=workers, use_cache=use_cache)
-    if on_failure == "raise":
-        failures = [r for r in results if is_failed(r)]
-        if failures:
-            raise TaskFailedError(failures)
+    failures = [r for r in results if is_failed(r)]
+    if failures:
+        raise TaskFailedError(failures)
     return results

@@ -14,13 +14,14 @@ Four cooperating pieces, all consumed by :mod:`repro.harness.engine`:
   :class:`FailedResult` values (kind, phase, traceback digest, spec
   identity, attempt count) returned *in spec order* instead of a raw
   exception aborting the run;
-* a **guarded dispatcher** — :func:`execute_guarded` replaces bare
-  ``pool.map`` with future-per-task windowed dispatch: per-task
-  wall-clock timeouts (the stuck worker pool is torn down and rebuilt),
-  bounded retry with a deterministic backoff schedule for transient
-  kinds, and ``BrokenProcessPool`` recovery that re-runs the suspect
-  tasks in isolation and quarantines the poison task after K strikes;
-* a **checkpoint journal** — :class:`RunJournal` appends one atomic
+* a **guarded dispatcher** — :func:`execute_guarded` runs tasks
+  in-process, or, when a task must be contained, in one windowed
+  future-per-task pool loop: per-task wall-clock timeouts (the stuck
+  worker pool is torn down and rebuilt), a fixed retry schedule for
+  ``transient`` failures, and ``BrokenProcessPool`` recovery that
+  re-runs the suspect tasks one at a time and quarantines the poison
+  task after K strikes;
+* a **checkpoint journal** — :class:`RunJournal` appends one flushed
   JSON line per completed task, keyed by the experiment cache's
   content hash, so an interrupted ``slms sweep``/``slms fuzz`` resumes
   byte-identical to an uninterrupted run;
@@ -30,7 +31,10 @@ Four cooperating pieces, all consumed by :mod:`repro.harness.engine`:
   the ``SLMS_FAULTS`` environment variable, used by the chaos test
   suite and the CI ``chaos-smoke`` job to prove every recovery path.
 
-See ``docs/ROBUSTNESS.md`` for the retry/timeout semantics, the resume
+Batches reach the dispatcher through :func:`repro.harness.engine.run_tasks`,
+which owns the journal and the parent-side rules; ``slms serve`` calls
+:func:`execute_guarded` directly, one request at a time.  See
+``docs/ROBUSTNESS.md`` for the retry/timeout semantics, the resume
 guarantees and a fault-injection cookbook.
 """
 
@@ -43,7 +47,6 @@ import threading
 import time
 import traceback as _tb
 from bisect import insort
-from collections import deque
 from concurrent.futures import (
     FIRST_COMPLETED,
     CancelledError,
@@ -51,13 +54,18 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as _FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.obs import MetricsRegistry, Tracer, metrics_scope, tracing
+from repro.obs import (
+    MetricsRegistry,
+    Tracer,
+    metrics_scope,
+    read_jsonl,
+    tracing,
+)
 
 #: The failure taxonomy.  ``transient`` faults are worth retrying
 #: (flaky I/O, injected chaos); ``deterministic`` ones will fail again
@@ -91,24 +99,13 @@ class TransientError(TaskError):
     kind = "transient"
 
 
-class SimulatedCrash(TaskError):
-    """In-process stand-in for a worker death.
-
-    Used by :meth:`FaultPlan.apply` when there is no worker process to
-    kill (serial execution); classified exactly like a real crash so
-    ``workers=1`` failure reports stay invariant with pooled runs.
-    """
-
-    kind = "crash"
-
-
 class TaskFailedError(RuntimeError):
     """Raised by strict callers when a guarded run produced failures.
 
-    ``run_suite(on_failure="raise")`` — the figure harness path — wraps
-    the per-task :class:`FailedResult` list in this exception so legacy
-    callers keep exception semantics while the engine itself never
-    propagates a task failure.
+    :func:`~repro.harness.experiment.run_suite` — the figure harness
+    path — wraps the per-task :class:`FailedResult` list in this
+    exception so its callers keep exception semantics while the engine
+    itself never propagates a task failure.
     """
 
     def __init__(self, failures: Sequence["FailedResult"]):
@@ -384,14 +381,12 @@ class FaultPlan:
         """Admission-side shed points: requests refused before dispatch."""
         return frozenset(r.index for r in self.rules if r.op == "reject")
 
-    def apply(self, index: int, attempt: int, in_process: bool = False):
+    def apply(self, index: int, attempt: int) -> None:
         """Fire any in-task rules for (task ``index``, ``attempt``).
 
-        Runs inside the task (worker process or, for serial execution,
-        the parent).  ``in_process`` swaps uncontainable ops for their
-        classifiable stand-ins: a crash raises :class:`SimulatedCrash`
-        instead of ``os._exit`` and a hang raises a ``timeout``-kind
-        :class:`TaskError` instead of sleeping forever.
+        Runs inside the task.  A ``crash`` or ``hang`` rule only ever
+        reaches a worker process: :meth:`needs_isolation` makes
+        :func:`execute_guarded` pool any plan that holds one.
         """
         for rule in self.rules:
             if rule.index != index or rule.op in (
@@ -401,16 +396,8 @@ class FaultPlan:
             if rule.times and attempt >= rule.times:
                 continue
             if rule.op == "crash":
-                if in_process:
-                    raise SimulatedCrash("injected worker crash")
                 os._exit(13)
             elif rule.op == "hang":
-                if in_process:
-                    raise TaskError(
-                        f"injected hang ({rule.seconds:g}s) is not "
-                        "containable in-process",
-                        kind="timeout",
-                    )
                 time.sleep(rule.seconds)
             elif rule.op == "transient":
                 raise TransientError(
@@ -423,53 +410,27 @@ class FaultPlan:
 
 
 # ---------------------------------------------------------------------------
-# Retry / containment policy
+# Retry / containment
 # ---------------------------------------------------------------------------
 
+#: The pause before each re-run of a ``transient`` failure, which thus
+#: gets one attempt more than there are pauses.  No jitter: two runs of
+#: the same plan retry on the same schedule, which the chaos suite
+#: asserts.  A ``crash`` gets ``crash_strikes`` attempts with no pause;
+#: every other kind fails on its first attempt.
+TRANSIENT_BACKOFF_S = (0.0, 0.05)
+TRANSIENT_ATTEMPTS = len(TRANSIENT_BACKOFF_S) + 1
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Bounded retry with a deterministic backoff schedule.
-
-    A task of a retryable ``kind`` gets up to ``max_attempts`` total
-    attempts; before re-running a task that has made N conclusive
-    attempts the dispatcher sleeps ``backoff_s[min(N-1, last)]``.  No
-    jitter anywhere — two runs of the same spec retry on the same
-    schedule, which the chaos suite asserts.
-    """
-
-    max_attempts: int = 3
-    backoff_s: Tuple[float, ...] = (0.0, 0.05, 0.2)
-    kinds: Tuple[str, ...] = ("transient",)
-
-    def delay(self, attempts_so_far: int) -> float:
-        if not self.backoff_s:
-            return 0.0
-        return self.backoff_s[min(attempts_so_far - 1, len(self.backoff_s) - 1)]
+#: The pooled loop's wait tick: bookkeeping latency, not a knob.
+_POLL_S = 0.05
 
 
-@dataclass(frozen=True)
-class FaultPolicy:
-    """Everything :func:`execute_guarded` needs to contain failures.
-
-    ``timeout_s`` is the per-task wall-clock limit (None = unlimited);
-    ``crash_strikes`` is how many isolated crashes quarantine a task.
-    ``poll_s`` is the dispatch loop's wait tick — bookkeeping latency,
-    not a correctness knob.
-    """
-
-    timeout_s: Optional[float] = None
-    retry: RetryPolicy = RetryPolicy()
-    crash_strikes: int = 2
-    fault_plan: Optional[FaultPlan] = None
-    poll_s: float = 0.05
-
-    def max_attempts_for(self, kind: str) -> int:
-        if kind == "crash":
-            return max(1, self.crash_strikes)
-        if kind in self.retry.kinds:
-            return max(1, self.retry.max_attempts)
-        return 1
+def _max_attempts(kind: str, crash_strikes: int) -> int:
+    if kind == "crash":
+        return max(1, crash_strikes)
+    if kind == "transient":
+        return TRANSIENT_ATTEMPTS
+    return 1
 
 
 @dataclass
@@ -513,7 +474,7 @@ def _call(fn, arg, index, attempt, plan, traced, in_process):
     """Run one attempt; never raises (except KeyboardInterrupt)."""
     try:
         if plan is not None:
-            plan.apply(index, attempt, in_process=in_process)
+            plan.apply(index, attempt)
         if traced:
             with tracing(Tracer()) as tracer, \
                     metrics_scope(MetricsRegistry()) as reg:
@@ -584,12 +545,20 @@ def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
             pass
 
 
+def _error(kind: str, message: str, digest: str = "") -> Tuple:
+    """An attempt result for a failure seen from the parent side."""
+    return ("err", {"kind": kind, "phase": "task", "message": message,
+                    "digest": digest}, None, None)
+
+
 def execute_guarded(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     *,
     workers: int = 1,
-    policy: Optional[FaultPolicy] = None,
+    timeout_s: Optional[float] = None,
+    crash_strikes: int = 2,
+    fault_plan: Optional[FaultPlan] = None,
     labels: Optional[Sequence[str]] = None,
     specs: Optional[Sequence[Dict[str, str]]] = None,
     traced: bool = False,
@@ -604,279 +573,164 @@ def execute_guarded(
     performs) propagates out of this function.
 
     Containment requires a worker process, so a pool is used whenever
-    ``workers > 1``, a ``timeout_s`` is set, or the fault plan contains
-    crash/hang rules; otherwise tasks run in-process (retry and
-    classification still apply, and injected crashes degrade to their
-    classifiable stand-ins — see :meth:`FaultPlan.apply`).
+    ``workers > 1``, a ``timeout_s`` (per-task wall-clock limit) is
+    set, or ``fault_plan`` holds crash/hang rules; otherwise tasks run
+    in-process, where retry and classification still apply.  A worker
+    crash makes every task in flight a suspect; suspects re-run one at
+    a time, so only a task that crashes alone takes a strike, and
+    ``crash_strikes`` strikes quarantine it.
 
     ``on_complete(index, outcome)`` fires once per task at its
     conclusion (checkpointing hook); ``sleep`` is injectable so tests
     can record the deterministic backoff schedule.
     """
-    policy = policy or FaultPolicy()
     n = len(items)
     outcomes = [TaskOutcome(index=i) for i in range(n)]
     if n == 0:
         return outcomes
-    plan = policy.fault_plan.resolved(n) if policy.fault_plan else None
+    plan = fault_plan.resolved(n) if fault_plan else None
     labels = list(labels) if labels else [f"task[{i}]" for i in range(n)]
     specs = list(specs) if specs else [{} for _ in range(n)]
-    notify = on_complete or (lambda i, out: None)
 
-    def conclude_ok(i, value, trace, metrics):
+    def conclude(i: int, res: Tuple) -> bool:
+        """Count one attempt of task ``i``; True when it must run again."""
+        status, value, trace, metrics = res
         out = outcomes[i]
         out.attempts += 1
-        out.value = value
-        out.trace = trace
-        out.metrics = metrics
-        notify(i, out)
-
-    def conclude_error(i, kind, phase, message, digest="") -> Tuple[bool, float]:
-        """Count the attempt; returns (should_retry, backoff delay)."""
-        out = outcomes[i]
-        out.attempts += 1
-        if out.attempts < policy.max_attempts_for(kind):
-            delay = (
-                policy.retry.delay(out.attempts)
-                if kind in policy.retry.kinds
-                else 0.0
-            )
-            out.log.append(
-                {
-                    "event": "retry",
-                    "kind": kind,
-                    "attempt": out.attempts,
-                    "backoff_s": delay,
-                }
-            )
-            return True, delay
-        quarantined = kind == "crash"
-        out.failure = FailedResult(
-            task=labels[i],
-            index=i,
-            kind=kind,
-            phase=phase,
-            message=message,
-            traceback_digest=digest,
-            attempts=out.attempts,
-            quarantined=quarantined,
-            spec=dict(specs[i]),
-        )
-        out.log.append(
-            {
-                "event": "quarantine" if quarantined else "failed",
-                "kind": kind,
-                "attempts": out.attempts,
-            }
-        )
-        notify(i, out)
-        return False, 0.0
-
-    use_pool = (
-        workers > 1
-        or policy.timeout_s is not None
-        or (plan is not None and plan.needs_isolation())
-    )
-
-    if not use_pool:
-        for i in range(n):
-            while True:
-                status, value, trace, metrics = _call(
-                    fn, items[i], i, outcomes[i].attempts, plan, traced,
-                    in_process=True,
+        if status == "ok":
+            out.value, out.trace, out.metrics = value, trace, metrics
+        else:
+            kind = value["kind"]
+            if out.attempts < _max_attempts(kind, crash_strikes):
+                delay = (
+                    TRANSIENT_BACKOFF_S[out.attempts - 1]
+                    if kind == "transient"
+                    else 0.0
                 )
-                if status == "ok":
-                    conclude_ok(i, value, trace, metrics)
-                    break
-                retry, delay = conclude_error(
-                    i, value["kind"], value["phase"], value["message"],
-                    value["digest"],
-                )
-                if not retry:
-                    break
+                out.log.append({"event": "retry", "kind": kind,
+                                "attempt": out.attempts, "backoff_s": delay})
                 if delay:
                     sleep(delay)
+                return True
+            quarantined = kind == "crash"
+            out.failure = FailedResult(
+                task=labels[i],
+                index=i,
+                kind=kind,
+                phase=value["phase"],
+                message=value["message"],
+                traceback_digest=value["digest"],
+                attempts=out.attempts,
+                quarantined=quarantined,
+                spec=dict(specs[i]),
+            )
+            out.log.append({"event": "quarantine" if quarantined else "failed",
+                            "kind": kind, "attempts": out.attempts})
+        if on_complete is not None:
+            on_complete(i, out)
+        return False
+
+    if not (
+        workers > 1
+        or timeout_s is not None
+        or (plan is not None and plan.needs_isolation())
+    ):
+        for i in range(n):
+            while conclude(i, _call(fn, items[i], i, outcomes[i].attempts,
+                                    plan, traced, in_process=True)):
+                pass
         return outcomes
 
     # -- pooled dispatch ------------------------------------------------
-    timeout_msg = (
-        f"task exceeded the {policy.timeout_s:g}s wall-clock limit"
-        if policy.timeout_s is not None
-        else ""
-    )
-    crash_msg = "worker process died while running this task"
-    pending: List[int] = sorted(range(n))
-    suspects: deque = deque()
+    # One loop, two windows: up to ``workers`` tasks in flight, or one
+    # while crash suspects remain, in a pool sized to the window.  A
+    # window changes only between batches, when nothing is in flight.
+    crash = _error("crash", "worker process died while running this task")
+    if timeout_s is not None:
+        timeout = _error(
+            "timeout", f"task exceeded the {timeout_s:g}s wall-clock limit"
+        )
+    pending: List[int] = list(range(n))  # both queues stay sorted
+    suspects: List[int] = []
     in_flight: Dict[Future, Tuple[int, float]] = {}
     pool: Optional[ProcessPoolExecutor] = None
+    size = 0
+    solo, window = False, workers
 
     def payload(i):
         return (fn, items[i], i, outcomes[i].attempts, plan, traced)
 
-    def handle_result(i, res) -> None:
-        """Process a worker's structured return; requeues retries."""
-        status, value, trace, metrics = res
-        if status == "ok":
-            conclude_ok(i, value, trace, metrics)
-            return
-        retry, delay = conclude_error(
-            i, value["kind"], value["phase"], value["message"],
-            value["digest"],
-        )
-        if retry:
-            if delay:
-                sleep(delay)
-            insort(pending, i)
-
-    def handle_isolated(i) -> None:
-        """Re-run a crash suspect alone in a fresh single-worker pool.
-
-        Only the poison task can break its own pool here, so strikes
-        attribute precisely: K isolated crashes → quarantine.  Innocent
-        bystanders of a pool breakage complete normally and return to
-        the main dispatch flow.
-        """
-        while True:
-            solo = ProcessPoolExecutor(max_workers=1)
-            fut = _submit(solo, payload(i))
-            try:
-                res = fut.result(timeout=policy.timeout_s)
-            except _FuturesTimeout:
-                _teardown_pool(solo)
-                retry, delay = conclude_error(i, "timeout", "task",
-                                              timeout_msg)
-                if not retry:
-                    return
-                if delay:
-                    sleep(delay)
-                continue
-            except (BrokenProcessPool, OSError):
-                _teardown_pool(solo)
-                retry, delay = conclude_error(i, "crash", "task", crash_msg)
-                if not retry:
-                    return
-                if delay:
-                    sleep(delay)
-                continue
-            except Exception as exc:  # unpicklable result, etc.
-                _teardown_pool(solo)
-                retry, delay = conclude_error(
-                    i, classify_exception(exc), "task",
-                    f"{type(exc).__name__}: {exc}", traceback_digest(exc),
-                )
-                if not retry:
-                    return
-                if delay:
-                    sleep(delay)
-                continue
-            solo.shutdown(wait=True)
-            status, value, trace, metrics = res
-            if status == "ok":
-                conclude_ok(i, value, trace, metrics)
-                return
-            retry, delay = conclude_error(
-                i, value["kind"], value["phase"], value["message"],
-                value["digest"],
-            )
-            if not retry:
-                return
-            if delay:
-                sleep(delay)
-
-    def absorb_breakage(extra: Optional[int] = None) -> None:
-        """Pool died: everything in flight becomes a crash suspect."""
+    def drop_pool() -> None:
         nonlocal pool
-        for _fut, (j, _t0) in list(in_flight.items()):
-            suspects.append(j)
-        in_flight.clear()
-        if extra is not None:
-            suspects.append(extra)
         _teardown_pool(pool)
         pool = None
-        ordered = sorted(set(suspects))
-        suspects.clear()
-        suspects.extend(ordered)
 
     try:
-        while pending or in_flight or suspects:
-            if suspects and not in_flight:
-                handle_isolated(suspects.popleft())
-                continue
-            if not suspects:
-                broke = False
-                while pending and len(in_flight) < workers:
-                    i = pending.pop(0)
-                    if pool is None:
-                        pool = ProcessPoolExecutor(max_workers=workers)
-                    try:
-                        fut = _submit(pool, payload(i))
-                    except BrokenProcessPool:
-                        absorb_breakage(extra=i)
-                        broke = True
-                        break
-                    in_flight[fut] = (i, time.perf_counter())
-                if broke:
-                    continue
+        while pending or suspects or in_flight:
             if not in_flight:
-                continue
-            done, _ = wait(
-                list(in_flight), timeout=policy.poll_s,
-                return_when=FIRST_COMPLETED,
-            )
+                solo = bool(suspects)
+                window = 1 if solo else workers
+                if pool is not None and size != window:
+                    drop_pool()
+            queue = suspects if solo else pending
             broke = False
-            for fut in sorted(done, key=lambda f: in_flight[f][0]):
-                i, _t0 = in_flight.pop(fut)
+            while queue and len(in_flight) < window:
+                if pool is None:
+                    pool = ProcessPoolExecutor(max_workers=window)
+                    size = window
+                i = queue.pop(0)
                 try:
-                    res = fut.result()
-                except CancelledError:
-                    insort(pending, i)
+                    fut = _submit(pool, payload(i))
                 except BrokenProcessPool:
-                    suspects.append(i)
+                    insort(suspects, i)
                     broke = True
-                except Exception as exc:
-                    retry, delay = conclude_error(
-                        i, classify_exception(exc), "task",
-                        f"{type(exc).__name__}: {exc}",
-                        traceback_digest(exc),
-                    )
-                    if retry:
-                        if delay:
-                            sleep(delay)
-                        insort(pending, i)
-                else:
-                    handle_result(i, res)
+                    break
+                in_flight[fut] = (i, time.perf_counter())
+            if not broke and in_flight:
+                done, _ = wait(list(in_flight), timeout=_POLL_S,
+                               return_when=FIRST_COMPLETED)
+                for fut in sorted(done, key=lambda f: in_flight[f][0]):
+                    i, _t0 = in_flight.pop(fut)
+                    try:
+                        res = fut.result()
+                    except CancelledError:
+                        insort(queue, i)  # never ran: requeue unblamed
+                        continue
+                    except BrokenProcessPool:
+                        broke = True
+                        if not solo:  # it ran beside others: blame none yet
+                            insort(suspects, i)
+                            continue
+                        res = crash  # it ran alone: the crash is its own
+                    except Exception as exc:  # unpicklable result, etc.
+                        res = _error(classify_exception(exc),
+                                     f"{type(exc).__name__}: {exc}",
+                                     traceback_digest(exc))
+                    if conclude(i, res):
+                        insort(queue, i)
             if broke:
-                absorb_breakage()
+                for i, _t0 in in_flight.values():
+                    insort(suspects, i)
+                in_flight.clear()
+                drop_pool()
                 continue
-            if policy.timeout_s is not None and in_flight:
+            if timeout_s is not None and in_flight:
                 now = time.perf_counter()
-                over = sorted(
-                    i
-                    for _fut, (i, t0) in in_flight.items()
-                    if now - t0 > policy.timeout_s
-                )
+                over = sorted(i for i, t0 in in_flight.values()
+                              if now - t0 > timeout_s)
                 if over:
-                    # The stuck worker cannot be preempted individually:
-                    # tear the pool down, fail (or retry) the offenders
-                    # and requeue the innocent in-flight tasks with their
-                    # attempt counts untouched.
-                    innocents = sorted(
-                        i
-                        for _fut, (i, _t0) in in_flight.items()
-                        if i not in over
-                    )
+                    # The stuck worker cannot be preempted alone: tear the
+                    # pool down, fail (or retry) the offenders and requeue
+                    # the rest in flight with their attempts untouched.
+                    rest = [i for i, _t0 in in_flight.values()
+                            if i not in over]
                     in_flight.clear()
-                    _teardown_pool(pool)
-                    pool = None
+                    drop_pool()
                     for i in over:
-                        retry, delay = conclude_error(i, "timeout", "task",
-                                                      timeout_msg)
-                        if retry:
-                            if delay:
-                                sleep(delay)
-                            insort(pending, i)
-                    for i in innocents:
-                        insort(pending, i)
+                        if conclude(i, timeout):
+                            insort(queue, i)
+                    for i in rest:
+                        insort(queue, i)
     finally:
         _teardown_pool(pool)
     return outcomes
@@ -915,10 +769,8 @@ class RunJournal:
 
     SCHEMA = "slms-journal/1"
 
-    def __init__(self, path: str | Path, resume: bool = False,
-                 flush_every: int = 1):
+    def __init__(self, path: str | Path, resume: bool = False):
         self.path = Path(path)
-        self.flush_every = max(1, int(flush_every))
         self._entries: Dict[str, dict] = {}
         if resume:
             self._load()
@@ -930,24 +782,12 @@ class RunJournal:
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
         self._fh = open(self.path, "a", encoding="utf-8")
-        self._pending_flush = 0
 
     def _load(self) -> None:
-        try:
-            with open(self.path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a killed run
-                    key = record.get("key")
-                    if isinstance(key, str):
-                        self._entries[key] = record
-        except OSError:
-            return
+        for record in read_jsonl(self.path):
+            key = record.get("key")
+            if isinstance(key, str):
+                self._entries[key] = record
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -974,16 +814,13 @@ class RunJournal:
         self._fh.write(
             json.dumps(entry, sort_keys=True, separators=(",", ":")) + "\n"
         )
-        self._pending_flush += 1
-        if self._pending_flush >= self.flush_every:
-            self.flush()
+        self.flush()
 
     def flush(self) -> None:
         try:
             self._fh.flush()
         except (OSError, ValueError):
             pass
-        self._pending_flush = 0
 
     def close(self) -> None:
         self.flush()
@@ -1005,11 +842,10 @@ __all__ = [
     "PLAN_OPS",
     "FailedResult",
     "FaultPlan",
-    "FaultPolicy",
     "FaultRule",
-    "RetryPolicy",
     "RunJournal",
-    "SimulatedCrash",
+    "TRANSIENT_ATTEMPTS",
+    "TRANSIENT_BACKOFF_S",
     "TaskError",
     "TaskFailedError",
     "TaskOutcome",

@@ -45,6 +45,7 @@ from repro.obs.ledger import (
     environment_fingerprint,
     ledger_enabled,
     make_entry,
+    read_jsonl,
     render_entries,
 )
 from repro.obs.metrics import (
@@ -114,6 +115,7 @@ __all__ = [
     "merged",
     "metrics_scope",
     "profile_results",
+    "read_jsonl",
     "render_diff",
     "render_entries",
     "render_profile",

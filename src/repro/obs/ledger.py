@@ -48,7 +48,7 @@ import platform
 import sys
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional
 
 LEDGER_SCHEMA = "slms-ledger/1"
 
@@ -74,6 +74,30 @@ def digest_of(payload: Any) -> str:
     """SHA-256 of the canonical JSON form of ``payload``."""
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def read_jsonl(path: str | Path) -> Iterator[Dict[str, Any]]:
+    """The JSON-object lines of a JSONL file, in file order.
+
+    The one reader of the append-only stores (the ledger, the fault
+    journal): blank lines, undecodable ones (the torn tail a killed
+    writer leaves) and lines holding a JSON value that is not an object
+    are skipped, and a missing or unreadable file yields nothing.
+    """
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+            for line in handle:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    record = json.loads(line)
+                except ValueError:
+                    continue
+                if isinstance(record, dict):
+                    yield record
+    except OSError:
+        return
 
 
 def environment_fingerprint() -> Dict[str, Any]:
@@ -211,9 +235,10 @@ class RunLedger:
 
     One file (``ledger.jsonl``) per directory; writes are appended and
     flushed per line so a SIGKILL loses at most the in-flight entry,
-    and the reader skips undecodable lines (torn tails) exactly like
-    :class:`~repro.harness.faults.RunJournal`.  All I/O errors degrade
-    to no-ops/empty reads — the ledger must never take a run down.
+    and :func:`read_jsonl` skips undecodable lines (torn tails) exactly
+    as it does for :class:`~repro.harness.faults.RunJournal`.  All I/O
+    errors degrade to no-ops/empty reads — the ledger must never take a
+    run down.
     """
 
     FILENAME = "ledger.jsonl"
@@ -247,26 +272,12 @@ class RunLedger:
         self, kind: Optional[str] = None, limit: Optional[int] = None
     ) -> List[Dict[str, Any]]:
         """All decodable records, oldest first (torn tails skipped)."""
-        records: List[Dict[str, Any]] = []
-        try:
-            with open(self.path, "r", encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        record = json.loads(line)
-                    except ValueError:
-                        continue  # torn tail from a killed run
-                    if not isinstance(record, dict):
-                        continue
-                    if record.get("schema") != LEDGER_SCHEMA:
-                        continue
-                    if kind is not None and record.get("kind") != kind:
-                        continue
-                    records.append(record)
-        except OSError:
-            return []
+        records = [
+            record
+            for record in read_jsonl(self.path)
+            if record.get("schema") == LEDGER_SCHEMA
+            and (kind is None or record.get("kind") == kind)
+        ]
         if limit is not None and limit >= 0:
             records = records[-limit:]
         return records

@@ -20,9 +20,10 @@ mailed around and will render identically forever.  ``slms serve``
 from __future__ import annotations
 
 import html
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
+
+from repro.obs.ledger import read_jsonl
 
 REPORT_SCHEMA = "slms-report/1"
 
@@ -39,23 +40,10 @@ def summarize_journal(path: Union[str, Path]) -> Dict[str, Any]:
     """
     statuses: Dict[str, int] = {}
     records = 0
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    continue  # torn tail from a killed run
-                if not isinstance(record, dict):
-                    continue
-                records += 1
-                status = str(record.get("status", "unknown"))
-                statuses[status] = statuses.get(status, 0) + 1
-    except OSError:
-        pass
+    for record in read_jsonl(path):
+        records += 1
+        status = str(record.get("status", "unknown"))
+        statuses[status] = statuses.get(status, 0) + 1
     return {
         "path": str(path),
         "records": records,

@@ -44,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.harness.faults import FaultPlan, FaultPolicy, RetryPolicy, execute_guarded
+from repro.harness.faults import FaultPlan, execute_guarded
 from repro.serve.session import RequestError, Session, SessionConfig
 
 SERVE_SCHEMA = "slms-serve/1"
@@ -66,12 +66,12 @@ class ServeConfig:
     queue_limit: int = 16
     #: Per-request wall-clock limit (None = unlimited).
     timeout_s: Optional[float] = 120.0
-    retry: RetryPolicy = RetryPolicy()
     #: Crashes of one request key before it is quarantined.
     crash_strikes: int = 2
     #: Execute in a disposable worker process (required for real
-    #: timeout/crash containment).  ``False`` degrades to in-process
-    #: execution: faster, but a hang blocks and a crash is simulated.
+    #: timeout/crash containment).  ``False`` runs requests in-process
+    #: unless an injected crash/hang needs a worker: faster, but no
+    #: timeout applies and a real crash takes the server down.
     isolation: bool = True
     fault_plan: Optional[FaultPlan] = None
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -101,9 +101,9 @@ def _serve_worker(item: Tuple[str, Dict[str, Any], Dict[str, Any]]):
     caller-fault errors so they classify as 400s, not worker failures.
     """
     op, params, session_cfg = item
-    # The serving layer owns fault injection for this request; the
-    # engine working *inside* it must not re-read the ambient plan.
-    os.environ.pop("SLMS_FAULTS", None)
+    # The serving layer owns fault injection for this request: with
+    # ambient_faults off, the engine inside it runs an explicit empty
+    # plan and never reads SLMS_FAULTS.
     from dataclasses import replace as _replace
 
     from repro.lang.errors import FrontendError
@@ -138,7 +138,6 @@ class SlmsServer(ThreadingHTTPServer):
         self._lock = threading.Lock()
         self._flights: Dict[str, _Flight] = {}
         self._seq = 0
-        self._strikes: Dict[str, int] = {}
         self._quarantined: set = set()
         self._reject_at = (
             config.fault_plan.reject_indices()
@@ -303,16 +302,12 @@ class SlmsServer(ThreadingHTTPServer):
         """Run one admitted request under the guarded dispatcher."""
         with self._lock:
             self.counters["executions"] += 1
-        policy = FaultPolicy(
-            timeout_s=self.config.timeout_s if self.config.isolation else None,
-            retry=self.config.retry,
-            crash_strikes=self.config.crash_strikes,
-            fault_plan=self._plan_for(seq),
-        )
         outcomes = execute_guarded(
             _serve_worker,
             [(op, params, self.config.session.to_dict())],
-            policy=policy,
+            timeout_s=self.config.timeout_s if self.config.isolation else None,
+            crash_strikes=self.config.crash_strikes,
+            fault_plan=self._plan_for(seq),
             labels=[f"{op}:{key[:16]}"],
             specs=[{"op": op, "id": key[:16]}],
         )
@@ -336,13 +331,10 @@ class SlmsServer(ThreadingHTTPServer):
                 },
             }
         failure = out.failure
-        if failure.kind == "crash" and failure.quarantined:
+        if failure.quarantined:
+            # execute_guarded quarantines only after crash_strikes crashes.
             with self._lock:
-                self._strikes[key] = (
-                    self._strikes.get(key, 0) + failure.attempts
-                )
-                if self._strikes[key] >= self.config.crash_strikes:
-                    self._quarantined.add(key)
+                self._quarantined.add(key)
         return 500, {
             **base,
             "ok": False,
@@ -350,7 +342,7 @@ class SlmsServer(ThreadingHTTPServer):
                 "kind": failure.kind,
                 "phase": failure.phase,
                 "message": failure.message,
-                "retryable": failure.kind in self.config.retry.kinds,
+                "retryable": failure.kind == "transient",
                 "quarantined": failure.quarantined,
             },
         }

@@ -5,12 +5,13 @@ deterministic fault injection — no real flakiness, no timing races:
 
 * taxonomy: classification, traceback digests, FailedResult round-trip;
 * fault plans: grammar, ``?`` pinning, env activation, times semantics;
-* dispatch: transient retry on the deterministic backoff schedule,
-  crash containment + quarantine, per-task timeouts, and workers=1 vs
-  workers=4 failure invariance;
-* checkpointing: journal torn-tail tolerance, failed-record re-run,
-  engine resume byte-identity, and a real SIGKILL-style abort of
-  ``slms sweep`` resumed to the clean result.
+* dispatch: transient retry on the fixed backoff schedule, crash
+  containment + quarantine (a one-worker run included), per-task
+  timeouts, and workers=1 vs workers=4 failure invariance;
+* checkpointing: journal torn-tail and non-object-line tolerance,
+  failed-record re-run, engine resume byte-identity, and real
+  SIGKILL-style aborts of ``slms sweep`` and ``slms fuzz`` resumed to
+  the clean result.
 
 Worker pools here always get an explicit ``workers>=2`` — the CI
 container resolves the default to one CPU, which would silently take
@@ -22,19 +23,18 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.harness.engine import engine_defaults, run_experiments, run_tasks
 from repro.harness.expcache import PhaseCache
 from repro.harness.faults import (
+    TRANSIENT_ATTEMPTS,
     FailedResult,
     FaultPlan,
-    FaultPolicy,
     FaultRule,
-    RetryPolicy,
     RunJournal,
-    SimulatedCrash,
     TaskError,
     TransientError,
     classify_exception,
@@ -73,7 +73,7 @@ def _pooled_doubles(n):
 class TestTaxonomy:
     def test_classification(self):
         assert classify_exception(TransientError("x")) == "transient"
-        assert classify_exception(SimulatedCrash("x")) == "crash"
+        assert classify_exception(TaskError("x", kind="crash")) == "crash"
         assert classify_exception(TaskError("x", kind="oom")) == "oom"
         assert classify_exception(MemoryError()) == "oom"
         assert classify_exception(ValueError("x")) == "deterministic"
@@ -165,42 +165,15 @@ class TestFaultPlan:
         # ``apply`` runs inside a worker; reject fires at admission,
         # before dispatch, so the worker-side hook must ignore it.
         plan = FaultPlan.parse("reject:0")
-        plan.apply(0, 0, in_process=True)
-        plan.apply(0, 0, in_process=False)
+        plan.apply(0, 0)
         assert not plan.needs_isolation()
 
     def test_times_limits_attempts(self):
         plan = FaultPlan.parse("transient:0x2")
         for attempt in (0, 1):
             with pytest.raises(TransientError):
-                plan.apply(0, attempt, in_process=True)
-        plan.apply(0, 2, in_process=True)  # third attempt passes
-
-    def test_in_process_stand_ins(self):
-        with pytest.raises(SimulatedCrash):
-            FaultPlan.parse("crash:0").apply(0, 0, in_process=True)
-        with pytest.raises(TaskError) as excinfo:
-            FaultPlan.parse("hang:0@5").apply(0, 0, in_process=True)
-        assert excinfo.value.kind == "timeout"
-
-
-class TestRetryPolicy:
-    def test_backoff_schedule_clamps(self):
-        retry = RetryPolicy(backoff_s=(0.1, 0.2, 0.4))
-        assert [retry.delay(n) for n in (1, 2, 3, 4, 9)] == [
-            0.1, 0.2, 0.4, 0.4, 0.4,
-        ]
-
-    def test_max_attempts_per_kind(self):
-        policy = FaultPolicy(
-            retry=RetryPolicy(max_attempts=3, kinds=("transient", "timeout")),
-            crash_strikes=2,
-        )
-        assert policy.max_attempts_for("transient") == 3
-        assert policy.max_attempts_for("timeout") == 3
-        assert policy.max_attempts_for("crash") == 2
-        assert policy.max_attempts_for("deterministic") == 1
-        assert policy.max_attempts_for("oom") == 1
+                plan.apply(0, attempt)
+        plan.apply(0, 2)  # third attempt passes
 
 
 class TestGuardedInProcess:
@@ -209,21 +182,31 @@ class TestGuardedInProcess:
         outcomes = execute_guarded(
             _double,
             [10, 20, 30],
-            policy=FaultPolicy(
-                retry=RetryPolicy(max_attempts=3, backoff_s=(0.01, 0.05)),
-                fault_plan=FaultPlan.parse("transient:1x2"),
-            ),
+            fault_plan=FaultPlan.parse("transient:1x2"),
             sleep=sleeps.append,
         )
         assert [o.value for o in outcomes] == [20, 40, 60]
         assert [o.attempts for o in outcomes] == [1, 3, 1]
-        assert sleeps == [0.01, 0.05]  # deterministic, no jitter
+        assert sleeps == [0.05]  # deterministic: 0 s is not slept
         assert [e["event"] for e in outcomes[1].log] == ["retry", "retry"]
+        assert [e["backoff_s"] for e in outcomes[1].log] == [0.0, 0.05]
+
+    def test_attempts_per_kind(self):
+        sleeps = []
+        outcomes = execute_guarded(
+            _double, [0, 1, 2],
+            fault_plan=FaultPlan.parse("transient:0x9;fail:1;oom:2"),
+            sleep=sleeps.append,
+        )
+        assert [o.failure.kind for o in outcomes] == [
+            "transient", "deterministic", "oom",
+        ]
+        assert [o.attempts for o in outcomes] == [TRANSIENT_ATTEMPTS, 1, 1]
+        assert sleeps == [0.05]
 
     def test_deterministic_fault_fails_without_retry(self):
         outcomes = execute_guarded(
-            _double, [1, 2, 3],
-            policy=FaultPolicy(fault_plan=FaultPlan.parse("fail:1")),
+            _double, [1, 2, 3], fault_plan=FaultPlan.parse("fail:1"),
         )
         assert [o.ok for o in outcomes] == [True, False, True]
         failure = outcomes[1].failure
@@ -241,23 +224,23 @@ class TestGuardedInProcess:
         assert "ValueError: bad item 7" in failure.message
         assert failure.traceback_digest
 
-    def test_in_process_crash_quarantines_after_strikes(self):
+    def test_one_worker_crash_runs_in_a_worker(self):
+        # A crash rule forces the pool even at one worker: the task
+        # really dies, and is quarantined after its strikes.
         outcomes = execute_guarded(
             _double, [1, 2],
-            policy=FaultPolicy(
-                crash_strikes=2, fault_plan=FaultPlan.parse("crash:0")
-            ),
+            crash_strikes=2, fault_plan=FaultPlan.parse("crash:0"),
         )
         failure = outcomes[0].failure
         assert failure.kind == "crash"
         assert failure.quarantined
         assert failure.attempts == 2
+        assert failure.message == "worker process died while running this task"
         assert outcomes[1].value == 4
 
     def test_oom_kind(self):
         outcomes = execute_guarded(
-            _double, [1],
-            policy=FaultPolicy(fault_plan=FaultPlan.parse("oom:0")),
+            _double, [1], fault_plan=FaultPlan.parse("oom:0"),
         )
         assert outcomes[0].failure.kind == "oom"
 
@@ -265,7 +248,7 @@ class TestGuardedInProcess:
         seen = []
         execute_guarded(
             _double, [1, 2, 3],
-            policy=FaultPolicy(fault_plan=FaultPlan.parse("fail:1")),
+            fault_plan=FaultPlan.parse("fail:1"),
             on_complete=lambda i, out: seen.append((i, out.ok)),
         )
         assert seen == [(0, True), (1, False), (2, True)]
@@ -275,9 +258,7 @@ class TestGuardedPooled:
     def test_worker_crash_is_quarantined_others_complete(self):
         outcomes = execute_guarded(
             _double, list(range(4)), workers=2,
-            policy=FaultPolicy(
-                crash_strikes=2, fault_plan=FaultPlan.parse("crash:0")
-            ),
+            crash_strikes=2, fault_plan=FaultPlan.parse("crash:0"),
         )
         failure = outcomes[0].failure
         assert failure.kind == "crash"
@@ -290,9 +271,7 @@ class TestGuardedPooled:
     def test_single_crash_recovers_on_retry(self):
         outcomes = execute_guarded(
             _double, list(range(3)), workers=2,
-            policy=FaultPolicy(
-                crash_strikes=3, fault_plan=FaultPlan.parse("crash:1x1")
-            ),
+            crash_strikes=3, fault_plan=FaultPlan.parse("crash:1x1"),
         )
         assert [o.ok for o in outcomes] == [True, True, True]
         assert outcomes[1].attempts == 2
@@ -302,9 +281,7 @@ class TestGuardedPooled:
     def test_hung_task_times_out_others_complete(self):
         outcomes = execute_guarded(
             _double, list(range(3)), workers=2,
-            policy=FaultPolicy(
-                timeout_s=1.5, fault_plan=FaultPlan.parse("hang:2@60")
-            ),
+            timeout_s=1.5, fault_plan=FaultPlan.parse("hang:2@60"),
         )
         assert [o.ok for o in outcomes] == [True, True, False]
         failure = outcomes[2].failure
@@ -318,9 +295,7 @@ class TestGuardedPooled:
         before = {p.pid for p in multiprocessing.active_children()}
         outcomes = execute_guarded(
             _double, [0, 1], workers=2,
-            policy=FaultPolicy(
-                timeout_s=1, fault_plan=FaultPlan.parse("hang:0@60")
-            ),
+            timeout_s=1, fault_plan=FaultPlan.parse("hang:0@60"),
         )
         assert outcomes[0].failure.kind == "timeout"
         assert outcomes[1].value == 2
@@ -334,21 +309,6 @@ class TestGuardedPooled:
             assert time.monotonic() < deadline, alive - before
             time.sleep(0.05)
 
-    def test_timeout_retry_succeeds_when_hang_is_transient(self):
-        outcomes = execute_guarded(
-            _double, list(range(2)), workers=2,
-            policy=FaultPolicy(
-                timeout_s=1.5,
-                retry=RetryPolicy(
-                    max_attempts=2, backoff_s=(0.0,),
-                    kinds=("transient", "timeout"),
-                ),
-                fault_plan=FaultPlan.parse("hang:0x1@60"),
-            ),
-        )
-        assert [o.ok for o in outcomes] == [True, True]
-        assert outcomes[0].attempts == 2
-
     def test_pooled_dispatch_inside_pooled_worker(self):
         # The outer pool forks its workers while the fork lock is held;
         # each child needs a free lock of its own, or its pooled
@@ -357,22 +317,17 @@ class TestGuardedPooled:
         held = execute_guarded(_fork_lock_held, [0, 1], workers=2)
         assert [o.value for o in held] == [False, False]
         outcomes = execute_guarded(
-            _pooled_doubles, [2, 3], workers=2,
-            policy=FaultPolicy(timeout_s=30),
+            _pooled_doubles, [2, 3], workers=2, timeout_s=30,
         )
         assert [o.failure for o in outcomes] == [None, None]
         assert [o.value for o in outcomes] == [[0, 2], [0, 2, 4]]
 
     def test_failure_reports_invariant_across_worker_counts(self):
         plan = FaultPlan.parse("fail:1;transient:2x9;oom:3")
-        policy = FaultPolicy(
-            retry=RetryPolicy(max_attempts=2, backoff_s=(0.0,)),
-            fault_plan=plan,
-        )
 
         def snapshot(workers):
             outcomes = execute_guarded(
-                _double, list(range(5)), workers=workers, policy=policy
+                _double, list(range(5)), workers=workers, fault_plan=plan
             )
             return [
                 o.failure.to_dict() if not o.ok else o.value
@@ -413,6 +368,17 @@ class TestRunJournal:
         assert loaded.completed_ok("k2") is None
         loaded.close()
 
+    def test_non_object_line_is_skipped(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        with RunJournal(path) as journal:
+            journal.record("k1", "ok", {"v": 1})
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write('[]\n"k2"\n7\nnull\n')
+        loaded = RunJournal(path, resume=True)
+        assert len(loaded) == 1
+        assert loaded.completed_ok("k1") == {"v": 1}
+        loaded.close()
+
     def test_fresh_journal_overwrites_previous(self, tmp_path):
         path = tmp_path / "j.jsonl"
         with RunJournal(path) as journal:
@@ -451,6 +417,20 @@ class TestRunTasksGuarded:
             second = run_tasks(tracked, items, workers=1, journal=journal)
         assert second == first
         assert calls == []  # everything replayed from the journal
+
+    def test_explicit_empty_plan_never_reads_the_environment(
+        self, monkeypatch
+    ):
+        monkeypatch.setenv("SLMS_FAULTS", "fail:0")
+        assert is_failed(run_tasks(_double, [1], workers=1)[0])
+        assert run_tasks(
+            _double, [1], workers=1, fault_plan=FaultPlan()
+        ) == [2]
+        results, stats = run_experiments(
+            _specs(("daxpy",)), workers=1, use_cache=False,
+            fault_plan=FaultPlan(),
+        )
+        assert not is_failed(results[0]) and stats.failures == 0
 
 
 class TestEngineFaults:
@@ -516,6 +496,22 @@ class TestEngineFaults:
             _result_payload(r) for r in clean
         ]
 
+    def test_cached_spec_is_served_before_its_journal_record(
+        self, tmp_path
+    ):
+        specs = _specs(("daxpy",))
+        cache_dir = str(tmp_path / "cache")
+        journal = str(tmp_path / "sweep.jsonl")
+        first, _ = run_experiments(
+            specs, workers=1, cache_dir=cache_dir, journal_path=journal
+        )
+        resumed, stats = run_experiments(
+            specs, workers=1, cache_dir=cache_dir,
+            journal_path=journal, resume=True,
+        )
+        assert (stats.cache_hits, stats.journal_hits) == (1, 0)
+        assert _result_payload(resumed[0]) == _result_payload(first[0])
+
     def test_corrupt_cache_entry_is_quarantined_on_next_read(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
         plan = FaultPlan.parse("corrupt-cache:0")
@@ -541,12 +537,14 @@ class TestEngineFaults:
 
 
 class TestSigkillResume:
-    """A sweep killed mid-run (``abort`` rule = ``os._exit(137)``)
-    resumes from its journal to the byte-identical clean export."""
+    """A sweep or fuzz session killed mid-run (``abort`` rule =
+    ``os._exit(137)``) resumes from its journal to the byte-identical
+    clean export."""
 
-    def _sweep(self, tmp_path, out, extra, env_faults=None):
+    def _cli(self, tmp_path, args, env_faults=None):
+        root = Path(__file__).resolve().parents[2]
         env = dict(os.environ)
-        env["PYTHONPATH"] = "src" + (
+        env["PYTHONPATH"] = str(root / "src") + (
             os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
         )
         env["SLMS_CACHE_DIR"] = str(tmp_path / "cache-unused")
@@ -554,14 +552,25 @@ class TestSigkillResume:
             env["SLMS_FAULTS"] = env_faults
         else:
             env.pop("SLMS_FAULTS", None)
-        cmd = [
-            sys.executable, "-m", "repro.cli", "sweep", "daxpy", "kernel1",
-            "--pairs", "itanium2/gcc_O3", "--workers", "1", "--no-cache",
-            "--json", str(out),
-        ] + extra
         return subprocess.run(
-            cmd, cwd="/root/repo", env=env, capture_output=True, text=True,
-            timeout=300,
+            [sys.executable, "-m", "repro.cli"] + args,
+            cwd=root, env=env, capture_output=True, text=True, timeout=300,
+        )
+
+    def _sweep(self, tmp_path, out, extra, env_faults=None):
+        return self._cli(
+            tmp_path,
+            ["sweep", "daxpy", "kernel1", "--pairs", "itanium2/gcc_O3",
+             "--workers", "1", "--no-cache", "--json", str(out)] + extra,
+            env_faults,
+        )
+
+    def _fuzz(self, tmp_path, out, extra, env_faults=None):
+        return self._cli(
+            tmp_path,
+            ["fuzz", "--seed", "7", "--iterations", "8", "--profile",
+             "tiny", "--workers", "1", "--json", str(out)] + extra,
+            env_faults,
         )
 
     def test_killed_sweep_resumes_to_clean_digest(self, tmp_path):
@@ -584,6 +593,30 @@ class TestSigkillResume:
         )
         assert resumed.returncode == 0, resumed.stderr
         assert "1 replay(s)" in resumed.stderr
+        assert (
+            (tmp_path / "resumed.json").read_bytes()
+            == (tmp_path / "clean.json").read_bytes()
+        )
+
+    def test_killed_fuzz_session_resumes_to_clean_report(self, tmp_path):
+        journal = tmp_path / "fuzz.jsonl"
+
+        clean = self._fuzz(tmp_path, tmp_path / "clean.json", [])
+        assert clean.returncode == 0, clean.stderr
+
+        killed = self._fuzz(
+            tmp_path, tmp_path / "killed.json",
+            ["--journal", str(journal)], env_faults="abort:3",
+        )
+        assert killed.returncode == 137
+        assert not (tmp_path / "killed.json").exists()
+        assert len(RunJournal(journal, resume=True)) == 3
+
+        resumed = self._fuzz(
+            tmp_path, tmp_path / "resumed.json",
+            ["--resume", str(journal)],
+        )
+        assert resumed.returncode == 0, resumed.stderr
         assert (
             (tmp_path / "resumed.json").read_bytes()
             == (tmp_path / "clean.json").read_bytes()

@@ -12,6 +12,7 @@ from repro.obs import (
     environment_fingerprint,
     ledger_enabled,
     make_entry,
+    read_jsonl,
     render_entries,
 )
 
@@ -101,6 +102,7 @@ class TestStore:
         ledger.append(_entry(label="good"))
         with open(ledger.path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
+            fh.write("[]\n")
             fh.write('{"schema": "other/1"}\n')
             fh.write('{"schema": "slms-ledger/1", "label": "torn')  # no \n
         entries = ledger.entries()
@@ -183,3 +185,13 @@ class TestMisc:
         assert len(lines) == 2
         assert "sweep" in lines[0] and "eeeeeeeeeeee" in lines[0]
         assert lines[1].endswith("FAULTS")
+
+
+class TestReadJsonl:
+    def test_yields_only_object_lines_in_order(self, tmp_path):
+        path = tmp_path / "log.jsonl"
+        path.write_bytes(
+            b'{"a": 1}\n\n[]\n"s"\nnull\n7\nnot json\n\xff\xfe\n'
+            b'{"a": 2}\n{"a": 3, "torn'
+        )
+        assert list(read_jsonl(path)) == [{"a": 1}, {"a": 2}]

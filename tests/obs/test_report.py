@@ -131,6 +131,7 @@ class TestJournalSummary:
         with open(path, "w", encoding="utf-8") as fh:
             for line in lines:
                 fh.write(json.dumps(line) + "\n")
+            fh.write('[]\n"ok"\n')  # JSON, but not records
             fh.write('{"torn')  # torn tail
         summary = summarize_journal(path)
         assert summary["records"] == 3

@@ -4,6 +4,7 @@ Each test spins a real in-process server on an ephemeral port and
 drives it over HTTP — the same path production clients use.
 """
 
+import os
 import threading
 import time
 
@@ -199,6 +200,21 @@ class TestFaults:
             assert status == 500
             assert envelope["error"]["kind"] == "timeout"
             assert server.failed_kinds == {"timeout": 1}
+
+    def test_in_process_request_leaves_the_environment_alone(
+        self, running_server, monkeypatch
+    ):
+        """Without isolation the request runs in the server process: an
+        ambient plan must neither reach its engine nor be removed."""
+        monkeypatch.setenv("SLMS_FAULTS", "fail:0")
+        with running_server(isolation=False) as server:
+            status, envelope = ServeClient(server.url).post(
+                "sweep",
+                {"workloads": ["daxpy"], "pairs": [["itanium2", "gcc_O3"]]},
+            )
+        assert status == 200
+        assert envelope["result"]["failures"] == 0
+        assert os.environ["SLMS_FAULTS"] == "fail:0"
 
     def test_faulted_request_does_not_affect_others(self, running_server):
         """A crash hits only its target; a concurrent request lands."""
