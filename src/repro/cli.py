@@ -472,16 +472,19 @@ def _add_obs_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    from repro.harness.engine import engine_defaults
     from repro.harness.figures import FIGURES, run_figure
     from repro.harness.report import render_figure
 
     names = sorted(FIGURES) if args.name == "all" else [args.name]
-    with _Observed(args), engine_defaults(
-        workers=args.workers, use_cache=not args.no_cache
-    ):
+    with _Observed(args):
         for name in names:
-            print(render_figure(run_figure(name, quick=args.quick)))
+            result = run_figure(
+                name,
+                quick=args.quick,
+                workers=args.workers,
+                use_cache=not args.no_cache,
+            )
+            print(render_figure(result))
             print()
     return 0
 
@@ -930,7 +933,8 @@ def _cmd_obs(args: argparse.Namespace) -> int:
             print(f"# {len(entries)} entr(ies), all content addresses ok",
                   file=sys.stderr)
         if not entries:
-            print(f"# ledger at {ledger.path} is empty", file=sys.stderr)
+            print(f"# no matching entries in the ledger at {ledger.path}",
+                  file=sys.stderr)
             return 0
         print(render_entries(entries))
         return 0

@@ -84,21 +84,28 @@ _IR_CODES = frozenset(
 _OOB_TRAP = re.compile(r"index -?\d+ out of bounds .* of '(\w+)'")
 
 
+# Fixed budgets of every oracle evaluation.  They shape each verdict,
+# so changing one changes what a recorded seed reproduces: the number
+# of randomized initial stores per case, the step budget of every
+# reference-interpreter and LIR run, the metamorphic unroll factor,
+# and the exact scheduler's search budget (layer 5).
+_N_ENVS = 2
+_MAX_STEPS = 2_000_000
+_UNROLL_FACTOR = 2
+_SCHED_BUDGET = 50_000
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Knobs for one oracle evaluation (part of the determinism key)."""
 
     machine: str = "itanium2"
     compiler: str = "gcc_O3"
-    n_envs: int = 2
-    max_steps: int = 2_000_000
     backend: bool = True
     metamorphic: bool = True
-    unroll_factor: int = 2
     # Differential scheduler oracle (layer 5): re-run SLMS with the
     # exact branch-and-bound backend and compare against the heuristic.
     scheduler_oracle: bool = False
-    sched_budget: int = 50_000
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -234,11 +241,9 @@ def _walk_stmt(stmt: Stmt):
 
 
 def _reference_states(
-    program: Program,
-    envs: List[Dict[str, Any]],
-    max_steps: int,
+    program: Program, envs: List[Dict[str, Any]]
 ) -> List[Dict[str, Any]]:
-    outcomes = run_program_batched(program, envs, max_steps=max_steps)
+    outcomes = run_program_batched(program, envs, max_steps=_MAX_STEPS)
     for out in outcomes:
         if isinstance(out, InterpError):
             raise out
@@ -314,12 +319,12 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
     except Exception as exc:
         return fail("invalid-case", f"parse failed: {exc}")
 
-    envs = [make_env(case, j) for j in range(max(1, config.n_envs))]
+    envs = [make_env(case, j) for j in range(_N_ENVS)]
 
     # ---- reference runs ---------------------------------------------------
     outcome.checks_run.append("reference")
     try:
-        refs = _reference_states(program, envs, config.max_steps)
+        refs = _reference_states(program, envs)
     except InterpError as exc:
         trap = _OOB_TRAP.search(str(exc))
         if trap is not None:
@@ -362,7 +367,7 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
 
     diffs: List[str] = []
     outs = run_program_batched(
-        result.program, envs, max_steps=config.max_steps
+        result.program, envs, max_steps=_MAX_STEPS
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):
@@ -397,7 +402,7 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
     # ---- differential scheduler oracle -----------------------------------
     if config.scheduler_oracle:
         outcome.checks_run.append("scheduler")
-        problem = _scheduler_check(program, result, envs, refs, config)
+        problem = _scheduler_check(program, result, envs, refs)
         if problem:
             return fail("scheduler-divergence", problem)
 
@@ -412,12 +417,12 @@ def _run_case_inner(case: FuzzCase, config: OracleConfig) -> CaseOutcome:
 
     # ---- metamorphic variants --------------------------------------------
     if config.metamorphic:
-        problem = _metamorphic_reversal(program, envs, refs, config)
+        problem = _metamorphic_reversal(program, envs, refs)
         if problem is not None:
             outcome.checks_run.append("metamorphic-reversal")
             if problem:
                 return fail("metamorphic-reversal", problem)
-        problem = _metamorphic_unroll(program, envs, refs, config)
+        problem = _metamorphic_unroll(program, envs, refs)
         if problem is not None:
             outcome.checks_run.append("metamorphic-unroll")
             if problem:
@@ -455,7 +460,6 @@ def _scheduler_check(
     heuristic: ProgramSLMSResult,
     envs: List[Dict[str, Any]],
     refs: List[Dict[str, Any]],
-    config: OracleConfig,
 ) -> str:
     """Empty string when the exact backend agrees with the heuristic.
 
@@ -477,7 +481,7 @@ def _scheduler_check(
             SLMSOptions(
                 verify=True,
                 scheduler="exact",
-                sched_budget=config.sched_budget,
+                sched_budget=_SCHED_BUDGET,
             ),
         )
     except Exception as exc:
@@ -516,7 +520,7 @@ def _scheduler_check(
         )
 
     outs = run_program_batched(
-        exact.program, envs, max_steps=config.max_steps
+        exact.program, envs, max_steps=_MAX_STEPS
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):
@@ -573,7 +577,7 @@ def _backend_check(
                     compiled.module,
                     machine,
                     env=env,
-                    max_steps=config.max_steps,
+                    max_steps=_MAX_STEPS,
                 )
             except Exception as exc:
                 return (
@@ -591,7 +595,6 @@ def _run_variant(
     variant: Program,
     envs: List[Dict[str, Any]],
     refs: List[Dict[str, Any]],
-    config: OracleConfig,
     label: str,
 ) -> str:
     """Empty string when the SLMS'd variant matches the reference."""
@@ -600,7 +603,7 @@ def _run_variant(
     except Exception as exc:
         return f"{label}: slms raised {type(exc).__name__}: {exc}"
     outs = run_program_batched(
-        result.program, envs, max_steps=config.max_steps
+        result.program, envs, max_steps=_MAX_STEPS
     )
     for j, out in enumerate(outs):
         if isinstance(out, InterpError):
@@ -615,7 +618,6 @@ def _metamorphic_reversal(
     program: Program,
     envs: List[Dict[str, Any]],
     refs: List[Dict[str, Any]],
-    config: OracleConfig,
 ) -> Optional[str]:
     """Reverse every innermost loop twice, re-pipeline, compare.
 
@@ -646,7 +648,7 @@ def _metamorphic_reversal(
         return f"reversal raised {type(exc).__name__}: {exc}"
     if not reversed_any:
         return None
-    return _run_variant(variant, envs, refs, config, "reverse2")
+    return _run_variant(variant, envs, refs, "reverse2")
 
 
 class _InvolutionBroken(Exception):
@@ -658,14 +660,13 @@ def _metamorphic_unroll(
     program: Program,
     envs: List[Dict[str, Any]],
     refs: List[Dict[str, Any]],
-    config: OracleConfig,
 ) -> Optional[str]:
     """Unroll every innermost loop, then SLMS the result, compare."""
     unrolled_any = False
 
     def unroll_one(loop: For) -> List[Stmt]:
         nonlocal unrolled_any
-        stmts = unroll(loop, config.unroll_factor)
+        stmts = unroll(loop, _UNROLL_FACTOR)
         unrolled_any = True
         return stmts
 
@@ -677,7 +678,7 @@ def _metamorphic_unroll(
         return f"unroll raised {type(exc).__name__}: {exc}"
     if not unrolled_any:
         return None
-    return _run_variant(variant, envs, refs, config, "unroll")
+    return _run_variant(variant, envs, refs, "unroll")
 
 
 def check_source(

@@ -36,6 +36,9 @@ from repro.obs import get_metrics, get_tracer
 
 REPORT_SCHEMA = "slms-fuzz/1"
 
+# Oracle runs one failing case may spend on delta debugging.
+_MAX_REDUCE_TESTS = 400
+
 
 @dataclass(frozen=True)
 class FuzzSessionConfig:
@@ -47,7 +50,12 @@ class FuzzSessionConfig:
     workers: Optional[int] = 1
     oracle: OracleConfig = field(default_factory=OracleConfig)
     reduce_failures: bool = True
-    max_reduce_tests: int = 400
+
+    def __post_init__(self) -> None:
+        if self.iterations < 0:
+            raise ValueError(
+                f"iterations must be >= 0, got {self.iterations}"
+            )
 
     def profiles_schedule(self) -> List[str]:
         """Profile of case *i* is ``schedule[i % len(schedule)]``."""
@@ -154,7 +162,7 @@ def _eval_case(task: Dict[str, Any]) -> Dict[str, Any]:
     if outcome.failed and task["reduce"]:
         try:
             reduction = reduce_case(
-                case, outcome, config, max_tests=task["max_reduce_tests"]
+                case, outcome, config, max_tests=_MAX_REDUCE_TESTS
             )
             payload["reduced"] = reduction.reduced
         except Exception as exc:
@@ -213,7 +221,6 @@ def run_fuzz_session(
             "profile": schedule[i % len(schedule)],
             "oracle": config.oracle.to_dict(),
             "reduce": config.reduce_failures,
-            "max_reduce_tests": config.max_reduce_tests,
         }
         for i, seed in enumerate(seeds)
     ]

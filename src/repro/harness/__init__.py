@@ -5,7 +5,8 @@ the paper's figures.
   (machine, compiler) pair, simulate, and report kernel-only cycles,
   speedup, energy and diagnostics;
 * :mod:`repro.harness.engine` — the evaluation engine: parallel
-  experiment fan-out plus content-addressed result memoization;
+  experiment fan-out plus content-addressed result memoization, every
+  setting an argument of the call;
 * :mod:`repro.harness.expcache` — the on-disk store: whole results
   and each pipeline phase, in tiers;
 * :mod:`repro.harness.faults` — the fault-tolerance layer: error
@@ -20,17 +21,11 @@ the paper's figures.
 
 from repro.harness.engine import (
     ENGINE_VERSION,
-    EngineConfig,
     EngineStats,
     ExperimentSpec,
-    engine_defaults,
     run_experiments,
 )
-from repro.harness.experiment import (
-    ExperimentResult,
-    run_experiment,
-    run_suite,
-)
+from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.faults import (
     FailedResult,
     FaultPlan,
@@ -45,7 +40,6 @@ from repro.harness.sweep import SweepResult, run_sweep
 
 __all__ = [
     "ENGINE_VERSION",
-    "EngineConfig",
     "EngineStats",
     "ExperimentResult",
     "ExperimentSpec",
@@ -57,11 +51,9 @@ __all__ = [
     "TaskError",
     "TaskFailedError",
     "TransientError",
-    "engine_defaults",
     "is_failed",
     "run_experiment",
     "run_experiments",
     "run_figure",
-    "run_suite",
     "run_sweep",
 ]

@@ -31,14 +31,11 @@ cooperating layers make that cheap and unkillable:
 fault plan (an explicit plan, else ``SLMS_FAULTS``), dispatch through
 :func:`~repro.harness.faults.execute_guarded`, journaling, the
 parent-side ``abort`` rule and the spec-order replay of task events.
-:func:`run_experiments` — which ``run_suite``, ``run_sweep`` and the
-figure harness route through — adds the ``full``-tier cache in front
-of it and :class:`EngineStats` around it.  Defaults (worker count,
-cache on/off, timeouts, fault plan) come from a module-level
-:class:`EngineConfig`, overridable per call or temporarily via
-:func:`engine_defaults` (how the CLI's ``--workers``/``--no-cache``/
-``--timeout`` flags reach the figure suite without threading knobs
-through every figure function).
+:func:`run_experiments` — which ``run_sweep``, and through it the
+figure harness, route through — adds the ``full``-tier cache in front
+of it and :class:`EngineStats` around it.  Every setting (worker
+count, cache on/off, timeout, journal, fault plan) is an argument of
+the call; the module holds no process-wide defaults.
 
 ``ENGINE_VERSION`` participates in every cache key.  Bump it whenever a
 change anywhere in the pipeline (transforms, backend, simulator
@@ -50,18 +47,8 @@ from __future__ import annotations
 
 import os
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.backend.compiler import CompilerConfig
 from repro.core.slms import SLMSOptions
@@ -88,55 +75,6 @@ from repro.workloads.base import Workload
 # keys it versions) and is re-exported here for compatibility.
 
 PHASES = ("parse", "transform", "compile", "simulate", "verify", "total")
-
-
-@dataclass(frozen=True)
-class EngineConfig:
-    """How :func:`run_experiments` schedules, memoizes and guards work.
-
-    ``workers=None`` means "one per CPU" (capped by the number of
-    uncached experiments); ``workers=1`` is the serial fallback that
-    never spawns processes.  ``task_timeout_s`` is the per-task
-    wall-clock limit (None = unlimited; setting one forces pooled
-    dispatch so a stuck task can be contained).  ``fault_plan`` injects
-    deterministic chaos for the test suite (also reachable via the
-    ``SLMS_FAULTS`` environment variable).  ``journal_path`` checkpoints
-    completed specs to a :class:`~repro.harness.faults.RunJournal`;
-    ``resume=True`` replays its ``ok`` records instead of re-running.
-    """
-
-    workers: Optional[int] = None
-    use_cache: bool = True
-    cache_dir: Optional[str] = None
-    task_timeout_s: Optional[float] = None
-    fault_plan: Optional[FaultPlan] = None
-    journal_path: Optional[str] = None
-    resume: bool = False
-
-
-_default_config = EngineConfig()
-
-
-def get_default_engine() -> EngineConfig:
-    return _default_config
-
-
-def set_default_engine(config: EngineConfig) -> EngineConfig:
-    """Install ``config`` as the process-wide default; returns the old."""
-    global _default_config
-    previous = _default_config
-    _default_config = config
-    return previous
-
-
-@contextmanager
-def engine_defaults(**overrides) -> Iterator[EngineConfig]:
-    """Temporarily override fields of the default engine config."""
-    previous = set_default_engine(replace(_default_config, **overrides))
-    try:
-        yield _default_config
-    finally:
-        set_default_engine(previous)
 
 
 @dataclass(frozen=True)
@@ -277,10 +215,8 @@ class _Task:
     phase_cache_dir: Optional[str] = None
 
 
-def _run_spec(task: ExperimentSpec | _Task) -> ExperimentResult:
+def _run_spec(task: _Task) -> ExperimentResult:
     """Top-level worker entry point (must stay picklable)."""
-    if isinstance(task, ExperimentSpec):
-        task = _Task(task)
     phase_cache = (
         PhaseCache.shared(task.phase_cache_dir)
         if task.phase_cache_dir
@@ -454,11 +390,11 @@ def run_tasks(
 def run_experiments(
     specs: Sequence[ExperimentSpec],
     workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
     cache_dir: Optional[str] = None,
     task_timeout_s: Optional[float] = None,
     journal_path: Optional[str] = None,
-    resume: Optional[bool] = None,
+    resume: bool = False,
     fault_plan: Optional[FaultPlan] = None,
 ) -> Tuple[List[ExperimentResult], EngineStats]:
     """Run every spec; returns results in spec order plus stats.
@@ -470,32 +406,31 @@ def run_experiments(
     needed.  A spec both cached and journaled is thus served from the
     cache.  Result order, and result *content*, never depend on the
     worker count, the cache state or a resume: the pipeline is
-    deterministic and the content hash covers every input.  Arguments
-    left None take the :class:`EngineConfig` default.
+    deterministic and the content hash covers every input.
+
+    ``workers=None`` means one per CPU (capped by the number of
+    uncached specs); ``cache_dir=None`` is the default store
+    (``SLMS_CACHE_DIR``); ``task_timeout_s`` is the per-task wall-clock
+    limit (None = unlimited; a limit forces pooled dispatch so a stuck
+    task can be contained, and one that is not positive raises
+    :class:`ValueError` before any lookup); ``journal_path``/``resume``
+    checkpoint completed specs to a
+    :class:`~repro.harness.faults.RunJournal` and replay its ``ok``
+    records; ``fault_plan=None`` reads ``SLMS_FAULTS``.
 
     A spec whose task fails (crash / hang / exception) contributes a
     :class:`~repro.harness.faults.FailedResult` in its slot — callers
     that need every entry to be an ``ExperimentResult`` must check
-    :func:`~repro.harness.faults.is_failed` (or use ``run_suite``,
-    which raises).
+    :func:`~repro.harness.faults.is_failed`.
     """
-    given = {
-        "workers": workers,
-        "use_cache": use_cache,
-        "cache_dir": cache_dir,
-        "task_timeout_s": task_timeout_s,
-        "journal_path": journal_path,
-        "resume": resume,
-        "fault_plan": fault_plan,
-    }
-    config = replace(
-        get_default_engine(),
-        **{name: value for name, value in given.items() if value is not None},
-    )
-
+    if task_timeout_s is not None and not task_timeout_s > 0:
+        raise ValueError(
+            "task timeout must be a positive number of seconds, "
+            f"got {task_timeout_s!r}"
+        )
     t_start = time.perf_counter()
     stats = EngineStats(experiments=len(specs))
-    cache = ExperimentCache(config.cache_dir) if config.use_cache else None
+    cache = ExperimentCache(cache_dir) if use_cache else None
     store = cache.store if cache is not None else None
     evicted_before = store.evictions["full"] if store is not None else 0
     # The phase tiers live in the same store.  Traced runs bypass them:
@@ -508,8 +443,8 @@ def run_experiments(
         else None
     )
     journal = (
-        RunJournal(config.journal_path, resume=config.resume)
-        if config.journal_path
+        RunJournal(journal_path, resume=resume)
+        if journal_path
         else None
     )
     keys = (
@@ -568,9 +503,9 @@ def run_experiments(
             computed = run_tasks(
                 _run_spec,
                 [_Task(specs[i], phase_cache_dir) for i in misses],
-                config.workers,
-                timeout_s=config.task_timeout_s,
-                fault_plan=config.fault_plan,
+                workers,
+                timeout_s=task_timeout_s,
+                fault_plan=fault_plan,
                 journal=journal,
                 keys=[keys[i] for i in misses] if keys else None,
                 labels=[specs[i].label() for i in misses],

@@ -461,44 +461,3 @@ def run_experiment(
         cache_tiers=memo.tiers if phase_cache is not None else None,
     )
 
-
-def run_suite(
-    workloads: List[Workload],
-    machine: MachineModel | str,
-    compiler: CompilerConfig | str,
-    options: Optional[SLMSOptions] = None,
-    verify: bool = True,
-    workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
-) -> List[ExperimentResult]:
-    """Run a list of workloads through the evaluation engine.
-
-    Experiments are independent, so they fan out over the evaluation
-    engine's process pool and memoize through its result cache;
-    ``workers``/``use_cache`` override the engine defaults (see
-    :mod:`repro.harness.engine`).
-
-    The engine never raises for a failed task — it returns a
-    :class:`~repro.harness.faults.FailedResult` in the task's slot.
-    This function wraps any failures in a
-    :class:`~repro.harness.faults.TaskFailedError`, so the figure
-    harness — which dereferences ``.speedup`` on every entry — keeps
-    exception semantics; callers that triage failures themselves use
-    :func:`~repro.harness.engine.run_experiments`.
-    """
-    from repro.harness.engine import ExperimentSpec, run_experiments
-    from repro.harness.faults import TaskFailedError, is_failed
-
-    if isinstance(machine, str):
-        machine = machine_by_name(machine)
-    if isinstance(compiler, str):
-        compiler = COMPILER_PRESETS[compiler]
-    specs = [
-        ExperimentSpec(wl, machine, compiler, options, verify)
-        for wl in workloads
-    ]
-    results, _ = run_experiments(specs, workers=workers, use_cache=use_cache)
-    failures = [r for r in results if is_failed(r)]
-    if failures:
-        raise TaskFailedError(failures)
-    return results

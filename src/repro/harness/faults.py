@@ -102,10 +102,10 @@ class TransientError(TaskError):
 class TaskFailedError(RuntimeError):
     """Raised by strict callers when a guarded run produced failures.
 
-    :func:`~repro.harness.experiment.run_suite` — the figure harness
-    path — wraps the per-task :class:`FailedResult` list in this
-    exception so its callers keep exception semantics while the engine
-    itself never propagates a task failure.
+    The figure harness (:mod:`repro.harness.figures`) wraps a sweep's
+    :class:`FailedResult` list in this exception, because every figure
+    reads every cell; the engine itself never propagates a task
+    failure.
     """
 
     def __init__(self, failures: Sequence["FailedResult"]):

@@ -2,19 +2,26 @@
 
 Each figure function returns a :class:`FigureResult` whose series carry
 the same quantity the paper plots (speedup, gap closure, power/cycle
-improvement, bundle counts).  ``python -m repro.harness.figures <id>``
-prints any figure; the benchmark suite regenerates all of them.
+improvement, bundle counts).  ``slms figure <id>`` prints any figure;
+the benchmark suite regenerates all of them.
+
+Every figure runs its (workload, machine, compiler) cells through
+:func:`~repro.harness.sweep.run_sweep`, so the ``workers`` and
+``use_cache`` arguments of :func:`run_figure` reach the evaluation
+engine for every figure; a failed cell raises
+:class:`~repro.harness.faults.TaskFailedError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.slms import SLMSOptions
-from repro.harness.experiment import run_experiment, run_suite
-from repro.machines.presets import arm7tdmi, itanium2, pentium, power4
-from repro.workloads import by_suite
+from repro.harness.experiment import ExperimentResult
+from repro.harness.faults import TaskFailedError
+from repro.harness.sweep import run_sweep
+from repro.workloads import by_suite, get_workload
 from repro.workloads.base import Workload
 
 
@@ -44,19 +51,50 @@ def _workloads(suites: List[str], quick: bool) -> List[Workload]:
     return out
 
 
+def _cells(
+    workloads: Sequence[Workload],
+    machine: str,
+    compiler: str,
+    *,
+    workers: Optional[int],
+    use_cache: bool,
+) -> List[ExperimentResult]:
+    """Each workload on one (machine, compiler) pair, in workload order.
+
+    The figures read every entry, so a failed cell raises
+    :class:`~repro.harness.faults.TaskFailedError` instead of being
+    left out of the series.
+    """
+    sweep = run_sweep(
+        workloads,
+        pairs=[(machine, compiler)],
+        workers=workers,
+        use_cache=use_cache,
+    )
+    if sweep.failures:
+        raise TaskFailedError(sweep.failures)
+    return sweep.results
+
+
+#: What every figure runs its cells with: :func:`_cells` with the engine
+#: settings of :func:`run_figure` bound, called as
+#: ``cells(workloads, machine, compiler)``.
+Cells = Callable[[Sequence[Workload], str, str], List[ExperimentResult]]
+
+
 def _speedup_series(
+    cells: Cells,
     figure: str,
     title: str,
     suites: List[str],
-    machine,
+    machine: str,
     compiler: str,
     quick: bool,
-    options: Optional[SLMSOptions] = None,
 ) -> FigureResult:
     result = FigureResult(figure=figure, title=title)
     series: Dict[str, float] = {}
     applied_notes = []
-    for res in run_suite(_workloads(suites, quick), machine, compiler, options):
+    for res in cells(_workloads(suites, quick), machine, compiler):
         series[res.workload] = res.speedup
         if not res.slms_applied:
             applied_notes.append(
@@ -72,25 +110,27 @@ def _speedup_series(
 # ---------------------------------------------------------------------------
 
 
-def fig14(quick: bool = False) -> FigureResult:
+def fig14(cells: Cells, quick: bool = False) -> FigureResult:
     """Livermore & Linpack over GCC (Itanium II)."""
     return _speedup_series(
+        cells,
         "fig14",
         "Livermore & Linpack over GCC -O3 (Itanium II)",
         ["livermore", "linpack"],
-        itanium2(),
+        "itanium2",
         "gcc_O3",
         quick,
     )
 
 
-def fig15(quick: bool = False) -> FigureResult:
+def fig15(cells: Cells, quick: bool = False) -> FigureResult:
     """STONE & NAS over GCC (Itanium II)."""
     return _speedup_series(
+        cells,
         "fig15",
         "STONE & NAS over GCC -O3 (Itanium II)",
         ["stone", "nas"],
-        itanium2(),
+        "itanium2",
         "gcc_O3",
         quick,
     )
@@ -101,7 +141,7 @@ def fig15(quick: bool = False) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig16(quick: bool = False) -> FigureResult:
+def fig16(cells: Cells, quick: bool = False) -> FigureResult:
     """For each loop: speedup of (SLMS @ -O0) vs speedup of (-O3),
     both relative to the plain -O0 build.  SLMS closing the gap means
     the first series approaches the second."""
@@ -109,13 +149,12 @@ def fig16(quick: bool = False) -> FigureResult:
         figure="fig16",
         title="SLMS without -O3 vs the -O3 gap (ICC, Itanium II)",
     )
-    machine = itanium2()
     slms_at_o0: Dict[str, float] = {}
     o3_gap: Dict[str, float] = {}
     closure: Dict[str, float] = {}
     workloads = _workloads(["livermore"], quick)
-    weak_runs = run_suite(workloads, machine, "icc_O0")
-    strong_runs = run_suite(workloads, machine, "icc_O3")
+    weak_runs = cells(workloads, "itanium2", "icc_O0")
+    strong_runs = cells(workloads, "itanium2", "icc_O3")
     for wl, weak, strong in zip(workloads, weak_runs, strong_runs):
         # weak.base = -O0 original; weak.slms = -O0 + SLMS;
         # strong.base = -O3 original.
@@ -139,16 +178,15 @@ def fig16(quick: bool = False) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig17(quick: bool = False) -> FigureResult:
+def fig17(cells: Cells, quick: bool = False) -> FigureResult:
     result = FigureResult(
         figure="fig17",
         title="SLMS on a superscalar (Pentium), GCC ±O3",
     )
-    machine = pentium()
     for label, preset in (("speedup_O0", "gcc_O0"), ("speedup_O3", "gcc_O3")):
         series: Dict[str, float] = {}
-        for res in run_suite(
-            _workloads(["livermore", "linpack"], quick), machine, preset
+        for res in cells(
+            _workloads(["livermore", "linpack"], quick), "pentium", preset
         ):
             series[res.workload] = res.speedup
         result.series[label] = series
@@ -161,12 +199,12 @@ def fig17(quick: bool = False) -> FigureResult:
 
 
 def _strong_compiler_figure(
-    figure: str, title: str, suites: List[str], quick: bool
+    cells: Cells, figure: str, title: str, suites: List[str], quick: bool
 ) -> FigureResult:
     result = FigureResult(figure=figure, title=title)
     series: Dict[str, float] = {}
     ims_counts = {"both": 0, "only_before": 0, "only_after": 0, "neither": 0}
-    for res in run_suite(_workloads(suites, quick), itanium2(), "icc_O3"):
+    for res in cells(_workloads(suites, quick), "itanium2", "icc_O3"):
         series[res.workload] = res.speedup
         if res.ims_base and res.ims_slms:
             ims_counts["both"] += 1
@@ -185,8 +223,9 @@ def _strong_compiler_figure(
     return result
 
 
-def fig18(quick: bool = False) -> FigureResult:
+def fig18(cells: Cells, quick: bool = False) -> FigureResult:
     return _strong_compiler_figure(
+        cells,
         "fig18",
         "Livermore & Linpack over ICC -O3 (Itanium II, machine MS on)",
         ["livermore", "linpack"],
@@ -194,8 +233,9 @@ def fig18(quick: bool = False) -> FigureResult:
     )
 
 
-def fig19(quick: bool = False) -> FigureResult:
+def fig19(cells: Cells, quick: bool = False) -> FigureResult:
     return _strong_compiler_figure(
+        cells,
         "fig19",
         "STONE & NAS over ICC -O3 (Itanium II, machine MS on)",
         ["stone", "nas"],
@@ -208,12 +248,13 @@ def fig19(quick: bool = False) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig20(quick: bool = False) -> FigureResult:
+def fig20(cells: Cells, quick: bool = False) -> FigureResult:
     return _speedup_series(
+        cells,
         "fig20",
         "Livermore & Linpack + NAS over XLC (POWER4)",
         ["livermore", "linpack", "nas"],
-        power4(),
+        "power4",
         "xlc_O3",
         quick,
     )
@@ -224,14 +265,14 @@ def fig20(quick: bool = False) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def fig21(quick: bool = False) -> FigureResult:
+def fig21(cells: Cells, quick: bool = False) -> FigureResult:
     result = FigureResult(
         figure="fig21",
         title="ARM7TDMI power dissipation improvement (%)",
     )
     series: Dict[str, float] = {}
-    for res in run_suite(
-        _workloads(["livermore", "linpack"], quick), arm7tdmi(), "arm_gcc"
+    for res in cells(
+        _workloads(["livermore", "linpack"], quick), "arm7tdmi", "arm_gcc"
     ):
         series[res.workload] = (1.0 - res.slms_energy / res.base_energy) * 100.0
     result.series["power_improvement_pct"] = series
@@ -242,14 +283,14 @@ def fig21(quick: bool = False) -> FigureResult:
     return result
 
 
-def fig22(quick: bool = False) -> FigureResult:
+def fig22(cells: Cells, quick: bool = False) -> FigureResult:
     result = FigureResult(
         figure="fig22",
         title="ARM7TDMI total cycle improvement (%)",
     )
     series: Dict[str, float] = {}
-    for res in run_suite(
-        _workloads(["livermore", "linpack"], quick), arm7tdmi(), "arm_gcc"
+    for res in cells(
+        _workloads(["livermore", "linpack"], quick), "arm7tdmi", "arm_gcc"
     ):
         series[res.workload] = (1.0 - res.slms_cycles / res.base_cycles) * 100.0
     result.series["cycle_improvement_pct"] = series
@@ -261,7 +302,7 @@ def fig22(quick: bool = False) -> FigureResult:
 # ---------------------------------------------------------------------------
 
 
-def text_bundles(quick: bool = False) -> FigureResult:
+def text_bundles(cells: Cells, quick: bool = False) -> FigureResult:
     """Kernel-8 and fma-loop effective bundles (cycles) per *iteration*
     before vs after SLMS (paper: kernel 8 went 23 → 16 bundles/body;
     the fma loop 5.8 → 4 bundles/iteration).
@@ -271,13 +312,10 @@ def text_bundles(quick: bool = False) -> FigureResult:
     several source iterations.
     """
     del quick
-    from repro.workloads import get_workload
-
     result = FigureResult(
         figure="text_bundles",
         title="Effective bundles per iteration before/after SLMS (Itanium II)",
     )
-    machine = itanium2()
     fma_loop = Workload(
         name="fma_loop",
         suite="text",
@@ -296,16 +334,17 @@ def text_bundles(quick: bool = False) -> FigureResult:
     iterations = {"kernel8": 199, "fma_loop": 249}
     before: Dict[str, float] = {}
     after: Dict[str, float] = {}
-    for wl in (get_workload("kernel8"), fma_loop):
-        res = run_experiment(wl, machine, "icc_O3")
-        before[wl.name] = res.base_cycles / iterations[wl.name]
-        after[wl.name] = res.slms_cycles / iterations[wl.name]
+    for res in cells(
+        [get_workload("kernel8"), fma_loop], "itanium2", "icc_O3"
+    ):
+        before[res.workload] = res.base_cycles / iterations[res.workload]
+        after[res.workload] = res.slms_cycles / iterations[res.workload]
     result.series["bundles_before"] = before
     result.series["bundles_after"] = after
     return result
 
 
-FIGURES: Dict[str, Callable[[bool], FigureResult]] = {
+FIGURES: Dict[str, Callable[..., FigureResult]] = {
     "fig14": fig14,
     "fig15": fig15,
     "fig16": fig16,
@@ -319,30 +358,18 @@ FIGURES: Dict[str, Callable[[bool], FigureResult]] = {
 }
 
 
-def run_figure(figure: str, quick: bool = False) -> FigureResult:
+def run_figure(
+    figure: str,
+    quick: bool = False,
+    workers: Optional[int] = None,
+    use_cache: bool = True,
+) -> FigureResult:
+    """Reproduce one figure; ``workers`` (None = one per CPU) and
+    ``use_cache`` go to every engine run the figure makes."""
     try:
         fn = FIGURES[figure]
     except KeyError:
         raise ValueError(
             f"unknown figure {figure!r}; choose from {sorted(FIGURES)}"
         ) from None
-    return fn(quick)
-
-
-def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
-    import argparse
-
-    from repro.harness.report import render_figure
-
-    parser = argparse.ArgumentParser(description="Reproduce a paper figure")
-    parser.add_argument("figure", choices=sorted(FIGURES) + ["all"])
-    parser.add_argument("--quick", action="store_true")
-    args = parser.parse_args(argv)
-    targets = sorted(FIGURES) if args.figure == "all" else [args.figure]
-    for figure in targets:
-        print(render_figure(run_figure(figure, quick=args.quick)))
-        print()
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()
+    return fn(partial(_cells, workers=workers, use_cache=use_cache), quick)

@@ -156,12 +156,12 @@ def run_sweep(
     options: Optional[SLMSOptions] = None,
     verify: bool = True,
     workers: Optional[int] = None,
-    use_cache: Optional[bool] = None,
+    use_cache: bool = True,
     cache_dir: Optional[str] = None,
     task_timeout_s: Optional[float] = None,
     journal_path: Optional[str] = None,
-    resume: Optional[bool] = None,
-    fault_plan: Optional["FaultPlan"] = None,
+    resume: bool = False,
+    fault_plan: Optional[FaultPlan] = None,
 ) -> SweepResult:
     """Run every workload on every (machine, compiler) pair.
 
@@ -172,12 +172,13 @@ def run_sweep(
     evaluation engine (:mod:`repro.harness.engine`): ``workers`` picks
     the process count (default: one per CPU; 1 = serial),
     ``use_cache``/``cache_dir`` control result memoization,
-    ``task_timeout_s`` bounds each experiment's wall clock, and
-    ``journal_path``/``resume`` checkpoint completed cells so a killed
-    sweep resumes byte-identical (see
-    :class:`~repro.harness.faults.RunJournal`).  The matrix is returned
-    in deterministic (workload-major) order regardless of worker count;
-    failed cells are partitioned into ``SweepResult.failures``.
+    ``task_timeout_s`` bounds each experiment's wall clock (None =
+    unlimited), ``journal_path``/``resume`` checkpoint completed cells
+    so a killed sweep resumes byte-identical (see
+    :class:`~repro.harness.faults.RunJournal`), and ``fault_plan=None``
+    reads ``SLMS_FAULTS``.  The matrix is returned in deterministic
+    (workload-major) order regardless of worker count; failed cells are
+    partitioned into ``SweepResult.failures``.
     """
     if workloads is None:
         workloads = all_workloads()

@@ -271,15 +271,21 @@ class RunLedger:
     def entries(
         self, kind: Optional[str] = None, limit: Optional[int] = None
     ) -> List[Dict[str, Any]]:
-        """All decodable records, oldest first (torn tails skipped)."""
+        """All decodable records, oldest first (torn tails skipped).
+
+        ``limit`` keeps only the newest ``limit`` of them (0 keeps none);
+        a negative limit raises :class:`ValueError`.
+        """
+        if limit is not None and limit < 0:
+            raise ValueError(f"entry limit must be >= 0, got {limit}")
         records = [
             record
             for record in read_jsonl(self.path)
             if record.get("schema") == LEDGER_SCHEMA
             and (kind is None or record.get("kind") == kind)
         ]
-        if limit is not None and limit >= 0:
-            records = records[-limit:]
+        if limit is not None:
+            records = records[-limit:] if limit else []
         return records
 
     def latest(self, kind: Optional[str] = None) -> Optional[Dict[str, Any]]:

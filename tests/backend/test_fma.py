@@ -71,9 +71,9 @@ class TestFusion:
 
     def test_paper_92_kernel8_bundles(self):
         """The §9.2 claim lands on the paper's numbers with FMA: 23→16."""
-        from repro.harness.figures import text_bundles
+        from repro.harness.figures import run_figure
 
-        result = text_bundles()
+        result = run_figure("text_bundles")
         before = result.series["bundles_before"]["kernel8"]
         after = result.series["bundles_after"]["kernel8"]
         assert 21 <= before <= 25   # paper: 23

@@ -5,6 +5,8 @@ These are the guarantees ``docs/FUZZING.md`` advertises: a recorded
 shard across workers without changing what it tests.
 """
 
+import pytest
+
 from repro.fuzz.oracle import OracleConfig
 from repro.fuzz.session import (
     REPORT_SCHEMA,
@@ -19,7 +21,7 @@ CONFIG = FuzzSessionConfig(
     iterations=12,
     profile="all",
     workers=1,
-    oracle=OracleConfig(n_envs=2),
+    oracle=OracleConfig(),
 )
 
 
@@ -62,3 +64,29 @@ def test_different_seeds_differ():
         FuzzSessionConfig(master_seed=2, iterations=6, oracle=CONFIG.oracle)
     )
     assert a.to_json() != b.to_json()
+
+
+def test_negative_iterations_are_rejected_before_any_case(
+    tmp_path, monkeypatch, capsys
+):
+    import repro.fuzz.session as session
+    from repro.cli import main
+
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(session, "run_case", no_case)
+    with pytest.raises(ValueError, match="iterations must be >= 0, got -1"):
+        FuzzSessionConfig(iterations=-1)
+    journal = tmp_path / "fuzz.jsonl"
+    assert main(["fuzz", "--iterations", "-1",
+                 "--journal", str(journal)]) == 2
+    assert "iterations must be >= 0, got -1" in capsys.readouterr().err
+    assert not journal.exists()
+
+
+def test_zero_iterations_is_an_empty_report(capsys):
+    from repro.cli import main
+
+    assert main(["fuzz", "--iterations", "0"]) == 0
+    assert "fuzz: 0 cases" in capsys.readouterr().out

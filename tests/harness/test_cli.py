@@ -104,6 +104,27 @@ class TestSweep:
         assert "phase_totals_s" in record and "wall_s" in record
         assert "per-phase wall clock" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_non_positive_timeout_is_a_usage_error(self, timeout, tmp_path,
+                                                   monkeypatch, capsys):
+        import repro.harness.engine as engine
+
+        args = ["sweep", "daxpy", "--pairs", "itanium2/gcc_O3",
+                "--workers", "1"]
+        assert main(args) == 0  # a warm cache must not hide the check
+
+        def no_experiment(*args, **kwargs):
+            raise AssertionError("an experiment ran")
+
+        monkeypatch.setattr(engine, "run_experiment", no_experiment)
+        capsys.readouterr()
+        journal = tmp_path / "sweep.jsonl"
+        assert main(args + ["--timeout", timeout,
+                            "--journal", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert f"got {float(timeout)!r}" in err
+        assert not journal.exists()
+
     def test_sweep_unknown_workload_errors(self, capsys):
         # Input errors exit 2 (usage/input), not 1 (failed work).
         assert main(["sweep", "not_a_workload"]) == 2

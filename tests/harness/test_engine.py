@@ -9,10 +9,7 @@ from repro.backend.compiler import COMPILER_PRESETS
 from repro.core.slms import SLMSOptions
 from repro.harness.engine import (
     ENGINE_VERSION,
-    EngineConfig,
     ExperimentSpec,
-    engine_defaults,
-    get_default_engine,
     run_experiments,
 )
 from repro.harness.expcache import ExperimentCache, PhaseCache, experiment_key
@@ -172,20 +169,6 @@ class TestCache:
         assert tiers["full"]["entries"] == 0
         # Clearing the full tier leaves the phase tiers alone.
         assert tiers["compile"]["entries"] > 0
-
-
-class TestEngineDefaults:
-    def test_context_manager_restores(self):
-        before = get_default_engine()
-        with engine_defaults(workers=3, use_cache=False) as config:
-            assert config.workers == 3 and config.use_cache is False
-            assert get_default_engine() is config
-        assert get_default_engine() is before
-
-    def test_defaults(self):
-        config = EngineConfig()
-        assert config.workers is None
-        assert config.use_cache is True
 
 
 class TestPhaseTimings:

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.core.slms import SLMSOptions
-from repro.harness.experiment import (
-    run_experiment,
-    run_suite,
-    transform_kernel,
-)
+from repro.harness.expcache import PhaseCache
+from repro.harness.experiment import run_experiment, transform_kernel
+from repro.harness.faults import TaskFailedError
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.report import render_figure
 from repro.machines import itanium2, pentium
@@ -104,10 +102,6 @@ class TestRunExperiment:
         res = run_experiment(FAST, "arm7tdmi", "arm_gcc")
         assert res.base_energy > 0 and res.slms_energy > 0
 
-    def test_run_suite(self):
-        results = run_suite([FAST, FAST], itanium2(), "gcc_O3")
-        assert len(results) == 2
-
 
 class TestFigures:
     def test_registry_complete(self):
@@ -143,6 +137,29 @@ class TestFigures:
         assert set(before) == {"kernel8", "fma_loop"}
         # The §9.2 claim: SLMS reduces bundles per iteration.
         assert after["kernel8"] <= before["kernel8"]
+
+    def test_text_bundles_obeys_the_engine_settings(self, tmp_path,
+                                                    monkeypatch):
+        cache_dir = tmp_path / "figure-cache"
+        monkeypatch.setenv("SLMS_CACHE_DIR", str(cache_dir))
+        run_figure("text_bundles", use_cache=False)
+        assert not cache_dir.exists()
+
+        cold = run_figure("text_bundles", workers=1)
+        warm = run_figure("text_bundles", workers=1)
+        assert warm.series == cold.series
+        full = PhaseCache(cache_dir).stats()["tiers"]["full"]
+        assert full["entries"] == 2
+        assert full["lifetime"]["misses"] == 2
+        assert full["lifetime"]["hits"] == 2
+
+    def test_failed_cell_raises(self, monkeypatch):
+        monkeypatch.setenv("SLMS_FAULTS", "fail:1")
+        with pytest.raises(TaskFailedError) as raised:
+            run_figure("fig14", quick=True, workers=1, use_cache=False)
+        assert [f.task for f in raised.value.failures] == [
+            "kernel2@itanium2/gcc_O3"
+        ]
 
     def test_render_figure(self):
         result = run_figure("fig14", quick=True)

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.engine import engine_defaults, run_experiments, run_tasks
+from repro.harness.engine import run_experiments, run_tasks
 from repro.harness.expcache import PhaseCache
 from repro.harness.faults import (
     TRANSIENT_ATTEMPTS,
@@ -450,22 +450,21 @@ class TestEngineFaults:
         assert stats.failures == 1
 
     def test_transient_retry_recovers_and_counts(self):
-        plan = FaultPlan.parse("transient:0x1")
-        with engine_defaults(fault_plan=plan):
-            results, stats = run_experiments(
-                _specs(("daxpy",)), workers=1, use_cache=False
-            )
+        results, stats = run_experiments(
+            _specs(("daxpy",)), workers=1, use_cache=False,
+            fault_plan=FaultPlan.parse("transient:0x1"),
+        )
         assert not is_failed(results[0])
         assert stats.failures == 0
         assert stats.retries == 1
 
     def test_chaotic_sweep_reports_exactly_the_faulted_cells(self):
         pairs = [("itanium2", "gcc_O3"), ("pentium", "gcc_O3")]
-        plan = FaultPlan.parse("crash:0;hang:3@60")
-        with engine_defaults(fault_plan=plan, task_timeout_s=5.0):
-            sweep = run_sweep(
-                ["daxpy", "kernel1"], pairs=pairs, workers=2, use_cache=False
-            )
+        sweep = run_sweep(
+            ["daxpy", "kernel1"], pairs=pairs, workers=2, use_cache=False,
+            task_timeout_s=5.0,
+            fault_plan=FaultPlan.parse("crash:0;hang:3@60"),
+        )
         assert len(sweep.failures) == 2
         by_kind = {f.kind: f for f in sweep.failures}
         assert by_kind["crash"].task == "daxpy@itanium2/gcc_O3"
@@ -481,10 +480,10 @@ class TestEngineFaults:
         clean, _ = run_experiments(specs, workers=1, use_cache=False)
 
         journal = str(tmp_path / "sweep.jsonl")
-        with engine_defaults(fault_plan=FaultPlan.parse("crash:1")):
-            chaotic, _ = run_experiments(
-                specs, workers=2, use_cache=False, journal_path=journal
-            )
+        chaotic, _ = run_experiments(
+            specs, workers=2, use_cache=False, journal_path=journal,
+            fault_plan=FaultPlan.parse("crash:1"),
+        )
         assert not is_failed(chaotic[0]) and is_failed(chaotic[1])
 
         resumed, stats = run_experiments(
@@ -514,10 +513,10 @@ class TestEngineFaults:
 
     def test_corrupt_cache_entry_is_quarantined_on_next_read(self, tmp_path):
         cache_dir = str(tmp_path / "cache")
-        plan = FaultPlan.parse("corrupt-cache:0")
-        with engine_defaults(fault_plan=plan):
-            run_experiments(_specs(("daxpy",)), workers=1,
-                            cache_dir=cache_dir)
+        run_experiments(
+            _specs(("daxpy",)), workers=1, cache_dir=cache_dir,
+            fault_plan=FaultPlan.parse("corrupt-cache:0"),
+        )
         # The injected corruption poisoned the freshly-written entry;
         # the next run must quarantine it, recompute, and re-cache.
         results, stats = run_experiments(

@@ -97,6 +97,30 @@ class TestStore:
             "run1", "run2",
         ]
 
+    def test_limit_zero_keeps_none_and_negative_raises(self, tmp_path):
+        ledger = RunLedger(tmp_path)
+        for i in range(3):
+            ledger.append(_entry(label=f"run{i}"))
+        assert ledger.entries(limit=0) == []
+        with pytest.raises(ValueError, match="got -1"):
+            ledger.entries(limit=-1)
+
+    def test_cli_limits(self, tmp_path, capsys):
+        from repro.cli import main
+
+        ledger = RunLedger(tmp_path)
+        for i in range(3):
+            ledger.append(_entry(label=f"run{i}"))
+        where = ["--ledger-dir", str(tmp_path)]
+        assert main(["obs", "ledger", "--limit", "0"] + where) == 0
+        assert "run" not in capsys.readouterr().out
+        assert main(["obs", "ledger", "--limit", "1"] + where) == 0
+        out = capsys.readouterr().out
+        assert "run2" in out and "run1" not in out
+        for command in (["obs", "ledger"], ["report"]):
+            assert main(command + ["--limit", "-1"] + where) == 2
+            assert "got -1" in capsys.readouterr().err
+
     def test_torn_tail_and_junk_lines_skipped(self, tmp_path):
         ledger = RunLedger(tmp_path)
         ledger.append(_entry(label="good"))
