@@ -90,9 +90,11 @@ def _intervals(module: Module) -> Dict[str, Tuple[int, int]]:
         start = index
         end = index + max(0, len(block.instrs) - 1)
         live_in, live_out = liveness[name]
-        for reg in live_in:
+        # Sorted: set order varies with PYTHONHASHSEED, and the order
+        # intervals are first seen breaks ties in the linear scan.
+        for reg in sorted(live_in):
             extend(reg, start)
-        for reg in live_out:
+        for reg in sorted(live_out):
             extend(reg, end + 1)
         for instr in block.instrs:
             for src in instr.srcs:

@@ -930,8 +930,9 @@ def _cmd_obs(args: argparse.Namespace) -> int:
                 print(f"error: {problem}", file=sys.stderr)
             if problems:
                 return 1
-            print(f"# {len(entries)} entr(ies), all content addresses ok",
-                  file=sys.stderr)
+            # verify() checks the whole ledger, whatever --kind/--limit.
+            print(f"# {len(ledger.entries())} entr(ies) in the ledger, "
+                  "all content addresses ok", file=sys.stderr)
         if not entries:
             print(f"# no matching entries in the ledger at {ledger.path}",
                   file=sys.stderr)
@@ -1023,7 +1024,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         queue_limit=args.queue_limit,
-        timeout_s=args.timeout if args.timeout and args.timeout > 0 else None,
+        timeout_s=None if args.timeout == 0 else args.timeout,
         crash_strikes=args.crash_strikes,
         isolation=not args.no_isolation,
         fault_plan=FaultPlan.from_env(),

@@ -80,6 +80,19 @@ class ServeConfig:
     #: Write the server-level trace (one span per request) on shutdown.
     trace_out: Optional[str] = None
 
+    def __post_init__(self) -> None:
+        # A queue below one would shed every request; only None means
+        # "no timeout".
+        if self.queue_limit < 1:
+            raise ValueError(
+                f"queue limit must be >= 1, got {self.queue_limit!r}"
+            )
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(
+                "request timeout must be a positive number of seconds "
+                f"(or unset), got {self.timeout_s!r}"
+            )
+
 
 class _Flight:
     """One in-flight execution: the leader runs, followers wait."""

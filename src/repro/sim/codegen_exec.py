@@ -1,9 +1,9 @@
 """Exec-compiled LIR blocks: the simulator's code-generation fast path.
 
-The closure interpreter (:mod:`repro.sim.lir_interp`) pays a Python
-call per instruction plus observer calls per memory access.  Because
-every block's executed prefix is invariant (a conditional branch ends
-its block — IR check V217; see
+The reference interpreter (:mod:`repro.sim.lir_interp`) dispatches
+every instruction as it runs and reports every block, instruction and
+memory access to an observer.  Because every block's executed prefix
+is invariant (a conditional branch ends its block — IR check V217; see
 :func:`repro.sim.executor._profile_blocks`), the whole block can
 instead be generated as *one* Python function: instruction
 semantics, the direct-mapped cache probe and the step and miss
@@ -19,11 +19,13 @@ iterations and charging the step budget and execution count per
 iteration exactly as the per-block dispatch loop would have.
 
 This is the simulator's only execution path
-(:func:`repro.sim.executor.execute`).  Strict equivalence with the
-reference — the closure interpreter driven by the per-instruction
-observer — is load-bearing, since experiment digests are pinned
-byte-identical, so the generated code mirrors the reference semantics
-operation for operation:
+(:func:`repro.sim.executor.execute`).  It shares no code with the
+reference but how ``env`` seeds the run and how the final state is
+read back (``lir_interp.seed_state``/``final_state``).  Strict
+equivalence with the reference — the LIR interpreter driven by the
+per-instruction observer — is load-bearing, since experiment digests
+are pinned byte-identical, so the generated code mirrors the reference
+semantics operation for operation:
 
 * the arithmetic is that of ``lir_interp._BINOPS``/``_UNOPS``, except
   that an ``int(x)``/``float(x)`` operand coercion is left out where
@@ -80,7 +82,7 @@ from repro.machines.model import MachineModel
 from repro.sim.cache import AddressMap
 from repro.sim.executor import ExecutionMetrics, _profile_blocks
 from repro.sim.interp import InterpError, _c_div, _c_mod
-from repro.sim.lir_interp import LIRInterpreter
+from repro.sim.lir_interp import final_state, seed_state
 from repro.sim.lir_types import TypeMap, block_entry_types, step
 
 # Source text → compiled code object.  Keyed on the full generated
@@ -497,7 +499,7 @@ class _BlockCodegen:
             a = self.operand(instr.srcs[0], kind)
             body.append(f"{self.wreg(instr.dst)} = " + expr.format(a=a))
             return
-        # Unknown ops raise lazily iff executed, like the closure path.
+        # Unknown ops raise lazily iff executed, like the reference.
         body.append(f"raise InterpError({f'unknown LIR op {op!r}'!r})")
 
     # -- assembly ---------------------------------------------------------
@@ -604,16 +606,17 @@ class _BlockCodegen:
         return self._assemble(inner)
 
 
-class ExecCompiledInterpreter(LIRInterpreter):
-    """LIR interpreter whose blocks are exec-compiled fused functions.
+class ExecCompiledInterpreter:
+    """Runs a module as exec-compiled fused block functions.
 
     Produces the final state via :meth:`run` and the accounting via
-    :meth:`metrics`, both strictly equal to running the closure
-    interpreter under ``executor._DynamicTimingObserver``.  Raises
-    ``ValueError`` (V217) for a module whose blocks' executed mix is
-    path-dependent.  The blocks are specialized to the operand types
-    of a run that starts from the registers and spill slots ``env``
-    seeds, so call :meth:`run` once.
+    :meth:`metrics`, both strictly equal to running
+    :class:`~repro.sim.lir_interp.LIRInterpreter` under
+    ``executor._DynamicTimingObserver``.  Raises ``ValueError`` (V217)
+    for a module whose blocks' executed mix is path-dependent.  The
+    blocks are specialized to the operand types of a run that starts
+    from the registers and spill slots ``env`` seeds, so call
+    :meth:`run` once.
     """
 
     def __init__(
@@ -624,7 +627,11 @@ class ExecCompiledInterpreter(LIRInterpreter):
         functions: Optional[Mapping[str, Callable[..., Any]]] = None,
         max_steps: int = 50_000_000,
     ):
+        self.module = module
         self.machine = machine
+        self.functions = dict(functions or {})
+        self.max_steps = max_steps
+        self.steps = 0
         self._profiles = _profile_blocks(module, machine)
         self._amap = AddressMap(
             module.arrays,
@@ -639,40 +646,36 @@ class ExecCompiledInterpreter(LIRInterpreter):
         self._exec_counts: List[int] = [0] * len(module.order)
         self._touched: List[int] = []
         self._self_loops = _self_loops(module)
-        self._entry_types: Optional[Dict[str, Optional[TypeMap]]] = None
-        super().__init__(
-            module, env=env, functions=functions, max_steps=max_steps
-        )
+        self.memory, self.regs, self.spill = seed_state(module, env)
+        self._entry_types = block_entry_types(module, self.regs, self.spill)
+        self._block_index: Dict[str, int] = {
+            name: idx for idx, name in enumerate(module.order)
+        }
+        # Step budget charged per block entry at the full static length,
+        # dead instructions after an unconditional ``br`` included.
+        self._block_steps: List[int] = [
+            len(module.blocks[name].instrs) for name in module.order
+        ]
         self._fused: List[Callable[[], Optional[str]]] = [
-            ops[0] for ops in self._program
+            self._compile(module.blocks[name]) for name in module.order
         ]
 
     def _block_source(self, block: Block) -> _Generated:
         """Generated source, constants tuple and register names tuple
         for ``block``."""
-        if self._entry_types is None:
-            # The base constructor has seeded the registers and spill
-            # from ``env`` by the time it compiles the first block.
-            self._entry_types = block_entry_types(
-                self.module, self.regs, self.spill
-            )
         types = self._entry_types[block.name]
         gen = _BlockCodegen(
             block, self.module, self.machine, self._amap,
             None if types is None else dict(types),
         )
         if block.name in self._self_loops:
-            # _block_index is not built yet when the base constructor
-            # compiles blocks; order.index is fine at this frequency.
             return gen.generate_self_loop(
-                self.module.order.index(block.name), self.max_steps
+                self._block_index[block.name], self.max_steps
             )
         return gen.generate()
 
-    # Called by the base __init__ for each block in module.order.
-    def _compile_block(
-        self, block: Block, wants_instr: bool, wants_mem: bool
-    ) -> List[Callable[[], Optional[str]]]:
+    def _compile(self, block: Block) -> Callable[[], Optional[str]]:
+        """``block``'s fused function, bound to this run's state."""
         source, K, names = self._block_source(block)
         code = _CODE_CACHE.get(source)
         if code is None:
@@ -682,14 +685,14 @@ class ExecCompiledInterpreter(LIRInterpreter):
             _CODE_CACHE[source] = code
         namespace = dict(_EXEC_GLOBALS)
         exec(code, namespace)
-        fn = namespace["_make"](
+        return namespace["_make"](
             self.regs, self.spill, self.memory, self.functions,
             self._tags, self._misses, self._steps_cell, self._exec_counts,
             K, names,
         )
-        return [fn]
 
     def run(self) -> Dict[str, Any]:
+        """Execute from the entry block; returns the final state."""
         fused = self._fused
         block_index = self._block_index
         block_steps = self._block_steps
@@ -721,7 +724,7 @@ class ExecCompiledInterpreter(LIRInterpreter):
                     idx = target
         finally:
             self.steps = steps_cell[0]
-        return self.state()
+        return final_state(self.module, self.memory, self.regs, self.spill)
 
     def metrics(self) -> ExecutionMetrics:
         """Assemble ExecutionMetrics equal to the reference observer's.

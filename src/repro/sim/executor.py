@@ -19,7 +19,7 @@ block — IR check V217), so its instruction count, op-class mix and
 per-op energy are precomputed once and charged per block execution.
 Memory/cache events stay dynamic — they depend on the addresses
 actually touched.  :func:`execute` runs the exec-compiled fast path
-(:mod:`repro.sim.codegen_exec`); the closure
+(:mod:`repro.sim.codegen_exec`); the plain per-instruction
 :class:`~repro.sim.lir_interp.LIRInterpreter` driven by
 :class:`_DynamicTimingObserver`, which charges every instruction as it
 runs, is the reference that tests pin the fast path against.
@@ -156,11 +156,11 @@ def _profile_blocks(
 class _DynamicTimingObserver(Observer):
     """Per-instruction accounting: the reference implementation.
 
-    Driven by the closure :class:`~repro.sim.lir_interp.LIRInterpreter`,
-    it charges every block, instruction and memory access as it
-    happens.  :func:`execute` never selects it; tests pin the
-    exec-compiled fast path against it.  It shares no code with
-    :func:`_profile_blocks`, so it also catches a wrong block profile.
+    Driven by :class:`~repro.sim.lir_interp.LIRInterpreter`, it
+    charges every block, instruction and memory access as it happens.
+    :func:`execute` never selects it; tests pin the exec-compiled fast
+    path against it.  It shares no code with :func:`_profile_blocks`,
+    so it also catches a wrong block profile.
     """
 
     def __init__(self, module: Module, machine: MachineModel):

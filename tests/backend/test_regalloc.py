@@ -1,5 +1,10 @@
 """Register allocation tests: correctness under pressure + spill stats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.backend.codegen import compile_to_lir
@@ -100,3 +105,43 @@ class TestStatistics:
             # At least the binding table stays consistent.
             for name in module.scalar_slots:
                 assert name in module.scalar_regs
+
+
+# Compile daxpy, base and SLMS, for itanium2/gcc_O3 and print each
+# module's fingerprint (the simulate tier's cache key).
+_FINGERPRINTS = """
+from repro.backend.compiler import FinalCompiler
+from repro.harness.expcache import module_fingerprint
+from repro.harness.experiment import transform_kernel
+from repro.machines import machine_by_name
+from repro.workloads import get_workload
+
+wl = get_workload("daxpy")
+compiler = FinalCompiler(machine_by_name("itanium2"), "gcc_O3")
+for program in (wl.full_program(), transform_kernel(wl)[0]):
+    print(module_fingerprint(compiler.compile(program).module))
+"""
+
+
+def _fingerprints(hash_seed):
+    src = Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = str(src) + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _FINGERPRINTS], env=env,
+        capture_output=True, text=True, timeout=300, check=True,
+    )
+    return done.stdout.split()
+
+
+class TestDeterminism:
+    def test_compiled_module_does_not_depend_on_the_hash_seed(self):
+        """Live sets are sets of register names; iterating them in hash
+        order used to number registers and spill slots differently from
+        one process to the next, so a recompile in a new process missed
+        the simulate-tier entry an earlier one wrote."""
+        first = _fingerprints(2)
+        assert len(first) == 2
+        assert _fingerprints(3) == first

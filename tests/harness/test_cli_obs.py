@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import RunLedger
+from repro.obs import RunLedger, make_entry
 
 
 @pytest.fixture()
@@ -103,7 +103,28 @@ class TestObsLedgerCommand:
 
     def test_empty_ledger(self, isolated, capsys):
         assert main(["obs", "ledger"]) == 0
-        assert "empty" in capsys.readouterr().err
+        assert "# no matching entries in the ledger at" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "flags,listed",
+        [(["--limit", "1"], ["run2"]), (["--kind", "fuzz"], ["f"])],
+        ids=["limit", "kind"],
+    )
+    def test_verify_counts_the_whole_ledger(self, isolated, capsys, flags,
+                                            listed):
+        ledger = RunLedger()
+        ledger.append(make_entry("fuzz", "f"))
+        for i in range(3):
+            ledger.append(make_entry("sweep", f"run{i}"))
+        assert main(["obs", "ledger", "--verify", *flags]) == 0
+        captured = capsys.readouterr()
+        assert "# 4 entr(ies) in the ledger, all content addresses ok" in (
+            captured.err
+        )
+        labels = [line.split()[-1] for line in captured.out.splitlines()]
+        assert labels == listed
 
 
 class TestObsDiffCommand:

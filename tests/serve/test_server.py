@@ -10,8 +10,11 @@ import time
 
 import pytest
 
+from repro.cli import main
 from repro.harness.faults import FaultPlan
+from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeError
+from repro.serve.server import ServeConfig
 from tests.serve.conftest import SOURCE
 
 
@@ -226,6 +229,51 @@ class TestFaults:
             assert status == 500 and envelope["error"]["kind"] == "crash"
             status, envelope = client.post("compile", {"source": SOURCE})
             assert status == 200 and envelope["result"]["applied"] == 1
+
+
+class TestSettings:
+    """Settings that would start a server unable to serve are refused
+    before the socket binds."""
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("queue_limit", 0), ("queue_limit", -3),
+         ("timeout_s", 0), ("timeout_s", -5.0)],
+    )
+    def test_config_rejects(self, field, value):
+        with pytest.raises(ValueError, match=f"got {value}"):
+            ServeConfig(**{field: value})
+
+    @pytest.fixture()
+    def started(self, monkeypatch):
+        """Configs that reached ``serve_forever`` (which returns at
+        once instead of serving)."""
+        configs = []
+
+        def fake_serve_forever(config):
+            configs.append(config)
+            return 0
+
+        monkeypatch.setattr(server_module, "serve_forever",
+                            fake_serve_forever)
+        return configs
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--queue-limit", "0"], ["--queue-limit", "-3"],
+         ["--timeout", "-5"]],
+        ids=" ".join,
+    )
+    def test_cli_usage_error_starts_no_server(self, flags, started, capsys):
+        assert main(["serve", "--port", "0", *flags]) == 2
+        captured = capsys.readouterr()
+        assert started == []
+        assert "serving on" not in captured.out
+        assert captured.err.startswith("error: ")
+
+    def test_cli_timeout_zero_is_unlimited(self, started):
+        assert main(["serve", "--port", "0", "--timeout", "0"]) == 0
+        assert [config.timeout_s for config in started] == [None]
 
 
 class TestDrain:

@@ -2,7 +2,7 @@
 
 :func:`repro.sim.executor.execute` always runs the exec-compiled block
 functions (:mod:`repro.sim.codegen_exec`) over static per-block
-profiles.  The reference is the closure
+profiles.  The reference is the plain
 :class:`~repro.sim.lir_interp.LIRInterpreter` driven by the
 per-instruction ``_DynamicTimingObserver``, which shares no code with
 the block profiles.  Every workload, on every machine, must produce
@@ -63,7 +63,7 @@ def _compile(workload_name: str, machine_name: str = "itanium2",
 
 
 def _reference(module, machine, env=None, max_steps=50_000_000):
-    """Run the per-instruction reference: closure interpreter plus
+    """Run the per-instruction reference: LIR interpreter plus
     observer."""
     observer = _DynamicTimingObserver(module, machine)
     interp = LIRInterpreter(
@@ -237,9 +237,8 @@ class TestExecutedPrefix:
 
 class TestObserverCompat:
     def test_on_instr_still_fires_when_overridden(self):
-        """Observers that override on_instr keep per-instruction events
-        (the closure interpreter only skips the callback for
-        non-overriders)."""
+        """An observer that overrides on_instr gets one event per
+        executed instruction."""
 
         class Counting(Observer):
             def __init__(self):
@@ -541,6 +540,96 @@ class TestTypeSpecializationSoundness:
         sources = _sources(module)
         assert "_int(" in sources["dead"]
         assert "_int(" not in sources["end"]
+
+
+def _outcome(run):
+    """``(exception type, message)`` of ``run()``, or None if it returns."""
+    try:
+        run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_A4 = {"A": ((4,), "float")}
+
+# (module, env, expected outcome of both executors).
+_ERROR_CASES = {
+    "st-computed-index": (
+        _module(
+            {
+                "entry": [
+                    _movi("i", 2), _movi("three", 3),
+                    _op("add", "j", "i", "three"), _movi("v", 1.5),
+                    Instr("st", srcs=("v", "j"), array="A"),
+                ],
+            },
+            arrays=_A4,
+        ),
+        None,
+        (InterpError, "st out of bounds: A[5] (size 4)"),
+    ),
+    "ld-constant-address": (
+        _module({"entry": [Instr("ld", dst="x", array="A", disp=7)]},
+                arrays=_A4),
+        None,
+        (InterpError, "ld out of bounds: A[7] (size 4)"),
+    ),
+    "fdiv-by-zero": (
+        _module({"entry": [_movi("a", 1.0), _movi("z", 0.0),
+                           _op("fdiv", "q", "a", "z")]}),
+        None,
+        (InterpError, "float division by zero"),
+    ),
+    "div-by-zero": (
+        _module({"entry": [_movi("a", 7), _movi("z", 0),
+                           _op("div", "q", "a", "z")]}),
+        None,
+        (InterpError, "integer division by zero"),
+    ),
+    "unknown-function": (
+        _module({"entry": [_movi("x", 1), Instr(
+            "call", dst="y", srcs=("x",), name="nosuch")]}),
+        None,
+        (InterpError, "call to unknown function 'nosuch'"),
+    ),
+    "unknown-block": (
+        _module({"entry": [_movi("x", 1), _br("nowhere")]}),
+        None,
+        (InterpError, "branch to unknown block 'nowhere'"),
+    ),
+    "unknown-op": (
+        _module({"entry": [_movi("x", 1), _op("frob", "y", "x")]}),
+        None,
+        (InterpError, "unknown LIR op 'frob'"),
+    ),
+    "unknown-op-dead-after-br": (
+        _module({"entry": [_br("end"), _op("frob", "y", "x")],
+                 "end": [_movi("x", 1)]}),
+        None,
+        None,
+    ),
+    "env-array-size": (
+        _module({"entry": [_movi("x", 1)]}, arrays=_A4),
+        {"A": np.zeros(5)},
+        (InterpError, "array 'A' env size 5 != declared 4"),
+    ),
+    "undeclared-array": (
+        _module({"entry": [Instr("ld", dst="x", array="B")]}, arrays=_A4),
+        None,
+        (KeyError, "'B'"),
+    ),
+}
+
+
+class TestErrorPathsMatchTheReference:
+    @pytest.mark.parametrize("case", list(_ERROR_CASES))
+    def test_same_exception_type_and_message(self, case):
+        module, env, expected = _ERROR_CASES[case]
+        machine = machine_by_name("itanium2")
+        reference = _outcome(lambda: LIRInterpreter(module, env=env).run())
+        fast = _outcome(lambda: execute(module, machine, env=env))
+        assert reference == fast == expected
 
 
 # A fixed sample of fuzz programs, every profile in turn: int/float
