@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from repro.analysis.affine import AffineExpr, analyze_subscript
 from repro.analysis.delays import edge_delay
 from repro.analysis.deptests import DependenceResult, test_dependence
@@ -103,14 +101,6 @@ class DependenceGraph:
 
     def self_edges(self, mi: int) -> List[Dependence]:
         return [e for e in self.edges if e.src == mi and e.dst == mi]
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """Graph view for cycle enumeration (one parallel edge per dep)."""
-        graph = nx.MultiDiGraph()
-        graph.add_nodes_from(range(self.n))
-        for e in self.edges:
-            graph.add_edge(e.src, e.dst, distance=e.distance, delay=e.delay)
-        return graph
 
     def dominant_edges(self) -> Dict[Tuple[int, int], Tuple[int, int]]:
         """Per node pair, the tightest ``(delay, distance)`` pair.

@@ -1,19 +1,18 @@
 """MII computation (paper §3.5–§3.6), the fixed-placement edge rule and
 the valid-II search.
 
-* :func:`pmii_cycle_ratio` — the recurrence-constrained MII as the
-  maximum over dependence cycles of ``⌈Σ delay / Σ distance⌉``
-  (enumerates cycles; exact for the small MI graphs SLMS sees).
 * :func:`difmin_feasible` / :func:`pmii_difmin` — the Iterative Shortest
   Path formulation the paper adopts from [3, 23]: for a candidate II,
   the ``difMin`` matrix is the all-pairs *longest* path
   (:func:`longest_paths`) under edge weight ``delay − II·distance``;
   the II is feasible iff no positive cycle exists
   (``difMin[v][v] ≤ 0``).  PMII is the smallest feasible II found by
-  iterating II upward, exactly as §5 describes.  The two agree with
-  each other, but PMII is not a floor on the II SLMS achieves: the
-  §3.5 delays price anti and output dependences like flow ones, while
-  the fixed placement lets them share a row.
+  iterating II upward, exactly as §5 describes.  It equals the maximum
+  over dependence cycles of ``⌈Σ delay / Σ distance⌉`` (the tests
+  enumerate cycles as the cross-check, ``tests/reference_graphs.py``),
+  but PMII is not a floor on the II SLMS achieves: the §3.5 delays
+  price anti and output dependences like flow ones, while the fixed
+  placement lets them share a row.
 * :data:`EDGE_NEED` / :func:`identity_feasible` / :func:`find_valid_ii`
   — the II that SLMS's *fixed placement* actually needs.  SLMS never
   reorders MIs inside an iteration (MI ``m`` of iteration ``k`` sits at
@@ -33,10 +32,8 @@ Per the paper, a valid II must also beat the sequential schedule:
 
 from __future__ import annotations
 
-from math import ceil, inf
+from math import inf
 from typing import Dict, Iterable, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.analysis.ddg import Dependence, DependenceGraph
 from repro.obs import get_tracer
@@ -50,39 +47,6 @@ EDGE_NEED: Dict[str, int] = {"flow": 1, "anti": 0, "output": 0}
 # The PMII functions only need the smallest distance per (src, dst)
 # pair — see DependenceGraph.dominant_edges — so they work on that
 # reduction.
-
-
-def pmii_cycle_ratio(graph: DependenceGraph) -> Optional[int]:
-    """Max-cycle-ratio PMII: ``max over cycles ⌈Σ delay / Σ distance⌉``.
-
-    Returns ``None`` when the graph has no dependence cycle (any II —
-    including 1 — satisfies the recurrence constraint), and ``inf``-like
-    behaviour is impossible because every cycle in a legal DDG carries
-    distance ≥ 1 (a zero-distance cycle would mean a dependence cycle
-    inside one iteration, i.e. the original program is contradictory).
-    """
-    g = nx.DiGraph()
-    g.add_nodes_from(range(graph.n))
-    for (src, dst), (delay, distance) in graph.dominant_edges().items():
-        g.add_edge(src, dst, delay=delay, distance=distance)
-    best: Optional[int] = None
-    for cycle in nx.simple_cycles(g):
-        delay_sum = 0
-        dist_sum = 0
-        for i, u in enumerate(cycle):
-            v = cycle[(i + 1) % len(cycle)]
-            data = g.edges[u, v]
-            delay_sum += data["delay"]
-            dist_sum += data["distance"]
-        if dist_sum == 0:
-            raise ValueError(
-                "zero-distance dependence cycle: inconsistent DDG "
-                f"(cycle {cycle})"
-            )
-        ratio = ceil(delay_sum / dist_sum)
-        if best is None or ratio > best:
-            best = ratio
-    return best
 
 
 def longest_paths(

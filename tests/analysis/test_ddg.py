@@ -125,12 +125,6 @@ class TestGraphQueries:
         dom = g.dominant_edges()
         assert dom[(0, 1)][1] == 2  # min distance among {2, 3}
 
-    def test_to_networkx_roundtrip(self):
-        g = ddg_of("for (i = 1; i < 100; i++) { A[i] = A[i-1]; }")
-        nxg = g.to_networkx()
-        assert nxg.number_of_nodes() == 1
-        assert nxg.number_of_edges() >= 1
-
     def test_self_edges(self):
         g = ddg_of("for (i = 1; i < 100; i++) { A[i] = A[i-1]; }")
         assert g.self_edges(0)

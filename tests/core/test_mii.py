@@ -9,10 +9,10 @@ from repro.core.mii import (
     difmin_feasible,
     find_valid_ii,
     identity_feasible,
-    pmii_cycle_ratio,
     pmii_difmin,
 )
 from repro.lang import parse_stmt
+from tests.reference_graphs import pmii_cycle_ratio
 
 
 def graph_from(edges, n):

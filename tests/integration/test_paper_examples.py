@@ -309,7 +309,8 @@ class TestFigure8MII:
     def test_mii_2(self):
         from repro.analysis.ddg import Dependence, DependenceGraph
         from repro.analysis.delays import edge_delay
-        from repro.core.mii import pmii_cycle_ratio, pmii_difmin
+        from repro.core.mii import pmii_difmin
+        from tests.reference_graphs import pmii_cycle_ratio
 
         g = DependenceGraph(n=4)
         for kind, src, dst, dist in [

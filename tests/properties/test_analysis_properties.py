@@ -22,7 +22,8 @@ from repro.analysis.fourier_motzkin import (
     IntegerSystem,
     is_feasible,
 )
-from repro.core.mii import difmin_feasible, pmii_cycle_ratio, pmii_difmin
+from repro.core.mii import difmin_feasible, pmii_difmin
+from tests.reference_graphs import pmii_cycle_ratio
 
 BOX = 7  # brute-force search box: [-BOX, BOX] per variable
 

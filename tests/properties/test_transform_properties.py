@@ -3,8 +3,11 @@
 Unrolling, distribution, peeling and strip-mining are applied to
 randomly generated affine loops (the transformations either succeed or
 decline with :class:`TransformError`; success must be bit-exact).
+Distribution's grouping and order of statements is checked against
+networkx on random digraphs.
 """
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import parse_program, parse_stmt
@@ -17,6 +20,7 @@ from repro.transforms import (
     strip_mine,
     unroll,
 )
+from repro.transforms.distribution import statement_groups
 
 ARRAYS = ["A", "B", "C"]
 SIZE = 48
@@ -84,6 +88,36 @@ def test_unroll_preserves_semantics(loop_src, factor):
 @given(loop_sources())
 def test_distribute_preserves_semantics(loop_src):
     check_transform(loop_src, distribute)
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph on 1..10 nodes; self-loops and repeated edges allowed."""
+    n = draw(st.integers(1, 10))
+    node = st.integers(0, n - 1)
+    return n, draw(st.lists(st.tuples(node, node), max_size=3 * n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+def test_statement_groups_match_networkx(graph):
+    n, edges = graph
+    groups = statement_groups(n, edges)
+    reference = nx.DiGraph()
+    reference.add_nodes_from(range(n))
+    reference.add_edges_from(edges)
+    assert sorted(groups) == sorted(
+        sorted(comp) for comp in nx.strongly_connected_components(reference)
+    )
+    position = {v: k for k, group in enumerate(groups) for v in group}
+    assert all(position[src] <= position[dst] for src, dst in edges)
+    # Among components free to go next, the smallest statement first.
+    condensed = nx.condensation(reference)
+    first = {c: min(condensed.nodes[c]["members"]) for c in condensed}
+    assert [group[0] for group in groups] == [
+        first[c]
+        for c in nx.lexicographical_topological_sort(condensed, key=first.get)
+    ]
 
 
 @settings(max_examples=60, deadline=None)

@@ -169,13 +169,21 @@ class TestDistribution:
         base = run_with([loop.clone()])
         assert state_equal(base, run_with(list(loops)))
 
-    def test_dependent_statements_ordered(self):
-        loop = parse_stmt(
-            "for (i = 0; i < 30; i++) { C[i] = B[i]; A[i] = C[i] + 1.0; }"
-        )
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "C[i] = B[i]; A[i] = C[i] + 1.0;",
+            # C[i] feeds the next iteration's A[i] = C[i-1]: the C loop
+            # runs first although it comes second in the source.
+            "A[i] = C[i-1]; C[i] = B[i];",
+        ],
+        ids=["in-source-order", "against-source-order"],
+    )
+    def test_dependent_statements_ordered(self, body):
+        loop = parse_stmt(f"for (i = 1; i < 30; i++) {{ {body} }}")
         loops = distribute(loop)
         assert len(loops) == 2
-        assert "C[i] = B[i];" in to_source(loops[0])
+        assert to_source(loops[0].body[0]) == "C[i] = B[i];"
         base = run_with([loop.clone()])
         assert state_equal(base, run_with(list(loops)))
 
@@ -198,6 +206,17 @@ class TestDistribution:
         loops = distribute(loop)
         base = run_with([loop.clone()])
         assert state_equal(base, run_with(list(loops)))
+
+    def test_independent_statements_keep_source_order(self):
+        # D[i] = 2.0 depends on nothing; it stays after C[i] = A[i].
+        loop = parse_stmt(
+            "for (i = 0; i < 30; i++) "
+            "{ A[i] = B[i] + 1.0; C[i] = A[i]; D[i] = 2.0; }"
+        )
+        loops = distribute(loop)
+        assert [to_source(lp.body[0]) for lp in loops] == [
+            "A[i] = B[i] + 1.0;", "C[i] = A[i];", "D[i] = 2.0;",
+        ]
 
 
 class TestReversal:
