@@ -33,7 +33,8 @@ Four cooperating pieces, all consumed by :mod:`repro.harness.engine`:
 
 Batches reach the dispatcher through :func:`repro.harness.engine.run_tasks`,
 which owns the journal and the parent-side rules; ``slms serve`` calls
-:func:`execute_guarded` directly, one request at a time.  See
+:func:`execute_guarded` directly, one request at a time, and lends each
+call a warm worker from its :class:`PoolStash`.  See
 ``docs/ROBUSTNESS.md`` for the retry/timeout semantics, the resume
 guarantees and a fault-injection cookbook.
 """
@@ -42,7 +43,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
+import signal
 import threading
 import time
 import traceback as _tb
@@ -522,17 +525,65 @@ def _submit(pool: ProcessPoolExecutor, payload: Tuple) -> Future:
         return pool.submit(_worker_entry, payload)
 
 
+#: How often a pool worker checks that the process that forked it lives.
+_PARENT_POLL_S = 0.5
+
+
+def _init_worker(parent: int) -> None:
+    """Pool initializer: ignore SIGINT/SIGTERM and exit with ``parent``.
+
+    The pool's owner stops its workers with SIGKILL, so a Ctrl-C or a
+    SIGTERM sent to the whole process group is the owner's alone, not
+    a cue for every worker to run the handler it inherited (``slms
+    serve``'s drain).  An idle worker blocks reading its call queue,
+    whose write end it holds itself, so it never sees its parent die:
+    without the watch, a SIGKILLed process (a server with warm workers
+    above all) would leave its workers running.
+    """
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, signal.SIG_IGN)
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(_PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(target=watch, name="slms-parent-watch",
+                     daemon=True).start()
+
+
+#: Workers are forked from the pool's owner whatever the default start
+#: method (``forkserver`` on Linux from Python 3.14): the parent watch
+#: needs the owner as each worker's parent, and a warm worker is a
+#: copy-on-write copy of the owner's heap.
+_FORK_CONTEXT = multiprocessing.get_context("fork")
+
+
+def _fork_pool(size: int) -> ProcessPoolExecutor:
+    """A pool of ``size`` workers, forked at its first submit."""
+    return ProcessPoolExecutor(max_workers=size, mp_context=_FORK_CONTEXT,
+                               initializer=_init_worker,
+                               initargs=(os.getpid(),))
+
+
+#: How long a teardown waits for the pool's manager thread and workers.
+_TEARDOWN_JOIN_S = 5.0
+
+
 def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
     """Hard-stop a pool whose workers may be dead or stuck.
 
-    The workers are listed before ``shutdown``, which drops the pool's
-    reference to them.  They are killed, not terminated: a worker
-    inherits the CLI's SIGTERM handler, which would raise into the
-    task instead of stopping the process.
+    The workers and the manager thread are taken before ``shutdown``,
+    which drops the pool's references to them.  The workers are killed,
+    not terminated: a worker ignores SIGTERM (:func:`_init_worker`).  The
+    manager thread is then joined, because until it has closed its
+    wakeup pipe, the interpreter's exit hook can write to that pipe as
+    it closes (``OSError: [Errno 9] Bad file descriptor`` at exit).
     """
     if pool is None:
         return
     procs = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     try:
         pool.shutdown(wait=False, cancel_futures=True)
     except Exception:
@@ -543,6 +594,59 @@ def _teardown_pool(pool: Optional[ProcessPoolExecutor]) -> None:
                 proc.kill()
         except (OSError, ValueError):  # already reaped or closed
             pass
+    deadline = time.monotonic() + _TEARDOWN_JOIN_S
+    if manager is not None:
+        manager.join(_TEARDOWN_JOIN_S)
+    for proc in procs:
+        try:
+            proc.join(max(0.0, deadline - time.monotonic()))
+        except (OSError, ValueError):
+            pass
+
+
+class PoolStash:
+    """Idle one-worker pools that :func:`execute_guarded` may borrow.
+
+    A long-lived caller (``slms serve``) keeps one and passes it as the
+    ``lender`` of every call, so a call can run in a warm worker instead
+    of forking its own.  At most one idle pool per CPU is kept; a pool
+    handed back beyond that, or after :meth:`close`, is torn down.
+    ``started`` counts the workers forked through :meth:`fork`.
+    """
+
+    def __init__(self) -> None:
+        self.started = 0
+        self._limit = os.cpu_count() or 1
+        self._idle: List[ProcessPoolExecutor] = []
+        self._closed = False
+        self._lock = threading.Lock()
+
+    def take(self) -> Optional[ProcessPoolExecutor]:
+        """The most recently returned idle pool, or None."""
+        with self._lock:
+            return self._idle.pop() if self._idle else None
+
+    def fork(self) -> ProcessPoolExecutor:
+        """A new one-worker pool, counted in ``started``."""
+        with self._lock:
+            self.started += 1
+        return _fork_pool(1)
+
+    def give(self, pool: ProcessPoolExecutor) -> None:
+        """Keep an idle one-worker pool whose attempts all succeeded."""
+        with self._lock:
+            if not self._closed and len(self._idle) < self._limit:
+                self._idle.append(pool)
+                return
+        _teardown_pool(pool)
+
+    def close(self) -> None:
+        """Tear every idle pool down; pools handed back later follow."""
+        with self._lock:
+            self._closed = True
+            idle, self._idle = self._idle, []
+        for pool in idle:
+            _teardown_pool(pool)
 
 
 def _error(kind: str, message: str, digest: str = "") -> Tuple:
@@ -563,6 +667,7 @@ def execute_guarded(
     specs: Optional[Sequence[Dict[str, str]]] = None,
     traced: bool = False,
     on_complete: Optional[Callable[[int, TaskOutcome], None]] = None,
+    lender: Optional[PoolStash] = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> List[TaskOutcome]:
     """Run ``fn`` over ``items`` with full failure containment.
@@ -583,6 +688,13 @@ def execute_guarded(
     ``on_complete(index, outcome)`` fires once per task at its
     conclusion (checkpointing hook); ``sleep`` is injectable so tests
     can record the deterministic backoff schedule.
+
+    With a ``lender`` and ``workers == 1``, a pooled call's first pool
+    is the lender's idle pool (or one forked through it) and goes back
+    to it when every attempt in it returned ok; a crash, timeout,
+    failed attempt or broken pool tears it down instead.  Later pools
+    are forked through the lender and torn down at the end, so a crash
+    suspect re-runs alone in a fresh worker.
     """
     n = len(items)
     outcomes = [TaskOutcome(index=i) for i in range(n)]
@@ -656,6 +768,13 @@ def execute_guarded(
     pool: Optional[ProcessPoolExecutor] = None
     size = 0
     solo, window = False, workers
+    # The lender's pool, while every attempt in it has returned ok.  Only
+    # the first pool is borrowed: a crash suspect re-runs in a fresh fork.
+    lent: Optional[ProcessPoolExecutor] = None
+    borrow = lender is not None and workers == 1
+    if borrow:
+        pool = lent = lender.take() or lender.fork()
+        size = 1
 
     def payload(i):
         return (fn, items[i], i, outcomes[i].attempts, plan, traced)
@@ -676,7 +795,7 @@ def execute_guarded(
             broke = False
             while queue and len(in_flight) < window:
                 if pool is None:
-                    pool = ProcessPoolExecutor(max_workers=window)
+                    pool = lender.fork() if borrow else _fork_pool(window)
                     size = window
                 i = queue.pop(0)
                 try:
@@ -706,6 +825,8 @@ def execute_guarded(
                         res = _error(classify_exception(exc),
                                      f"{type(exc).__name__}: {exc}",
                                      traceback_digest(exc))
+                    if res[0] != "ok":
+                        lent = None
                     if conclude(i, res):
                         insort(queue, i)
             if broke:
@@ -732,7 +853,10 @@ def execute_guarded(
                     for i in rest:
                         insort(queue, i)
     finally:
-        _teardown_pool(pool)
+        if pool is not None and pool is lent and not in_flight:
+            lender.give(pool)
+        else:
+            _teardown_pool(pool)
     return outcomes
 
 
@@ -843,6 +967,7 @@ __all__ = [
     "FailedResult",
     "FaultPlan",
     "FaultRule",
+    "PoolStash",
     "RunJournal",
     "TRANSIENT_ATTEMPTS",
     "TRANSIENT_BACKOFF_S",

@@ -9,6 +9,12 @@ the full fault taxonomy for free — per-request wall-clock timeouts
 transient failures, crash containment in a worker process, and
 structured :class:`~repro.harness.faults.FailedResult` classification.
 
+Workers stay warm: the server lends each request an idle one-worker
+pool from its :class:`~repro.harness.faults.PoolStash` (at most one per
+CPU) and takes it back when every attempt in it succeeded; a crash,
+timeout or failed attempt discards the worker, and an empty stash
+forks a new one.  ``server_close`` tears the idle workers down.
+
 On top of that the server adds the service-level behaviors
 (docs/SERVING.md):
 
@@ -44,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
 
-from repro.harness.faults import FaultPlan, execute_guarded
+from repro.harness.faults import FaultPlan, PoolStash, execute_guarded
 from repro.serve.session import RequestError, Session, SessionConfig
 
 SERVE_SCHEMA = "slms-serve/1"
@@ -68,10 +74,11 @@ class ServeConfig:
     timeout_s: Optional[float] = 120.0
     #: Crashes of one request key before it is quarantined.
     crash_strikes: int = 2
-    #: Execute in a disposable worker process (required for real
-    #: timeout/crash containment).  ``False`` runs requests in-process
-    #: unless an injected crash/hang needs a worker: faster, but no
-    #: timeout applies and a real crash takes the server down.
+    #: Execute in a worker process, reused by later requests while its
+    #: attempts succeed (required for real timeout/crash containment).
+    #: ``False`` runs requests in-process unless an injected crash/hang
+    #: needs a worker: faster, but no timeout applies and a real crash
+    #: takes the server down.
     isolation: bool = True
     fault_plan: Optional[FaultPlan] = None
     session: SessionConfig = field(default_factory=SessionConfig)
@@ -152,6 +159,7 @@ class SlmsServer(ThreadingHTTPServer):
         self._flights: Dict[str, _Flight] = {}
         self._seq = 0
         self._quarantined: set = set()
+        self.pools = PoolStash()
         self._reject_at = (
             config.fault_plan.reject_indices()
             if config.fault_plan is not None
@@ -194,6 +202,16 @@ class SlmsServer(ThreadingHTTPServer):
             self.draining = True
         threading.Thread(target=self.shutdown, daemon=True).start()
 
+    def server_close(self) -> None:
+        """Join the handler threads, then stop the idle workers."""
+        super().server_close()
+        self.pools.close()
+
+    def _counters(self) -> Dict[str, int]:
+        """The request counters and the workers forked for requests
+        (call with the lock held)."""
+        return {**self.counters, "workers_started": self.pools.started}
+
     def finalize(self) -> None:
         """Post-drain bookkeeping: trace file + ledger record."""
         if self.config.trace_out:
@@ -208,7 +226,8 @@ class SlmsServer(ThreadingHTTPServer):
 
             if not ledger_enabled():
                 return
-            counters = dict(self.counters)
+            with self._lock:
+                counters = self._counters()
             RunLedger().append(
                 make_entry(
                     "serve",
@@ -323,6 +342,7 @@ class SlmsServer(ThreadingHTTPServer):
             fault_plan=self._plan_for(seq),
             labels=[f"{op}:{key[:16]}"],
             specs=[{"op": op, "id": key[:16]}],
+            lender=self.pools,
         )
         out = outcomes[0]
         retries = max(0, out.attempts - 1)
@@ -416,7 +436,7 @@ class SlmsServer(ThreadingHTTPServer):
         from repro.harness.expcache import ENGINE_VERSION, PhaseCache
 
         with self._lock:
-            counters = dict(self.counters)
+            counters = self._counters()
             failed_kinds = dict(self.failed_kinds)
             inflight = len(self._flights)
             quarantined = sorted(k[:16] for k in self._quarantined)

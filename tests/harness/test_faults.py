@@ -8,6 +8,9 @@ deterministic fault injection — no real flakiness, no timing races:
 * dispatch: transient retry on the fixed backoff schedule, crash
   containment + quarantine (a one-worker run included), per-task
   timeouts, and workers=1 vs workers=4 failure invariance;
+* warm workers: a :class:`PoolStash` lends one idle worker per call,
+  takes it back only after clean attempts, keeps one per CPU, and a
+  pool teardown leaves no live manager thread or unreaped worker;
 * checkpointing: journal torn-tail and non-object-line tolerance,
   failed-record re-run, engine resume byte-identity, and real
   SIGKILL-style aborts of ``slms sweep`` and ``slms fuzz`` resumed to
@@ -20,6 +23,7 @@ the in-process path.
 
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -29,11 +33,13 @@ import pytest
 
 from repro.harness.engine import run_experiments, run_tasks
 from repro.harness.expcache import PhaseCache
+from repro.harness import faults
 from repro.harness.faults import (
     TRANSIENT_ATTEMPTS,
     FailedResult,
     FaultPlan,
     FaultRule,
+    PoolStash,
     RunJournal,
     TaskError,
     TransientError,
@@ -58,9 +64,11 @@ def _raise_value_error(x):
 
 
 def _fork_lock_held(_):
-    from repro.harness import faults
-
     return faults._FORK_LOCK.locked()
+
+
+def _pid(_):
+    return os.getpid()
 
 
 def _pooled_doubles(n):
@@ -340,6 +348,148 @@ class TestGuardedPooled:
             r["kind"] for r in serial if isinstance(r, dict)
         ]
         assert kinds == ["deterministic", "transient", "oom"]
+
+
+def _live_children():
+    # active_children() reaps the dead, so a pid leaves the set once
+    # its process is gone.
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+@pytest.fixture()
+def stash():
+    pools = PoolStash()
+    try:
+        yield pools
+    finally:
+        pools.close()
+
+
+def _lent_pid(stash, plan=None, **kwargs):
+    """One pooled call lent from ``stash``: its outcome."""
+    kwargs.setdefault("timeout_s", 30)
+    return execute_guarded(_pid, [0], fault_plan=plan, lender=stash,
+                           **kwargs)[0]
+
+
+class TestWarmWorkers:
+    def test_sequential_calls_run_in_one_worker(self, stash):
+        pids = [_lent_pid(stash).value for _ in range(3)]
+        assert len(set(pids)) == 1 and pids[0] != os.getpid()
+        assert stash.started == 1
+        assert len(stash._idle) == 1
+
+    def test_in_process_call_never_borrows(self, stash):
+        outcome = execute_guarded(_pid, [0], lender=stash)[0]
+        assert outcome.value == os.getpid()
+        assert stash.started == 0 and stash._idle == []
+
+    @pytest.mark.parametrize(
+        "spec,ok", [("crash:0", False), ("hang:0@30", False),
+                    ("fail:0", False), ("transient:0", True)],
+    )
+    def test_unclean_attempt_discards_the_worker(self, stash, spec, ok):
+        first = _lent_pid(stash).value
+        faulted = _lent_pid(stash, FaultPlan.parse(spec), timeout_s=1,
+                            crash_strikes=1)
+        assert faulted.ok is ok
+        assert stash._idle == []
+        after = _lent_pid(stash)
+        assert after.ok and after.value != first
+        assert first not in _live_children()
+
+    def test_killed_idle_worker_costs_no_strike(self, stash):
+        first = _lent_pid(stash).value
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 10
+        while first in _live_children():
+            assert time.monotonic() < deadline
+            time.sleep(0.02)
+        # The dead pool breaks beside no blamed attempt: its task is a
+        # suspect, re-run alone in a freshly forked worker.
+        outcome = _lent_pid(stash, crash_strikes=1)
+        assert outcome.ok and outcome.attempts == 1
+        assert outcome.value != first
+        assert stash.started == 2
+
+    def test_worker_ignores_sigint_and_sigterm(self, stash):
+        # The owner stops its workers with SIGKILL; a Ctrl-C or SIGTERM
+        # sent to the whole process group is the owner's alone.
+        first = _lent_pid(stash).value
+        for sig in (signal.SIGINT, signal.SIGTERM):
+            os.kill(first, sig)
+        time.sleep(0.2)
+        assert _lent_pid(stash).value == first
+        assert stash.started == 1
+
+    def test_crash_suspect_reruns_in_fresh_workers(self, stash):
+        cpus = os.cpu_count() or 1
+        for _ in range(cpus):
+            stash.give(stash.fork())
+        outcome = _lent_pid(stash, FaultPlan.parse("crash:0x1"),
+                            crash_strikes=2)
+        # The lent worker died with its task unblamed; the suspect
+        # crashed again alone (a strike) and passed on its retry, each
+        # in a worker forked for it and torn down after: only the
+        # call's first pool came from the stash.
+        assert outcome.ok and outcome.attempts == 2
+        assert len(stash._idle) == cpus - 1
+        assert stash.started == cpus + 2
+
+    def test_one_idle_pool_per_cpu(self, stash):
+        cpus = os.cpu_count() or 1
+        pools = [stash.fork() for _ in range(cpus + 1)]
+        for pool in pools:
+            stash.give(pool)
+        assert len(stash._idle) == cpus
+        assert stash.take() is pools[-2]
+
+    def test_close_stops_idle_workers(self, stash):
+        pid = _lent_pid(stash).value
+        assert pid in _live_children()
+        stash.close()
+        assert stash._idle == []
+        assert pid not in _live_children()
+        # A pool handed back after close is torn down, not kept.
+        pool = stash.fork()
+        stash.give(pool)
+        assert stash._idle == []
+
+    @pytest.mark.skipif(
+        "forkserver" not in multiprocessing.get_all_start_methods(),
+        reason="no forkserver start method",
+    )
+    def test_workers_fork_from_the_owner(self):
+        # The parent watch needs the pool's owner as each worker's
+        # parent, whatever the default start method: under forkserver
+        # (Linux's default from Python 3.14) it would be the fork server.
+        previous = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            pool = faults._fork_pool(1)
+        finally:
+            multiprocessing.set_start_method(previous, force=True)
+        try:
+            assert pool.submit(os.getppid).result(timeout=60) == os.getpid()
+            time.sleep(3 * faults._PARENT_POLL_S)
+            assert pool.submit(os.getppid).result(timeout=60) == os.getpid()
+        finally:
+            faults._teardown_pool(pool)
+
+
+class TestTeardown:
+    @pytest.mark.parametrize("busy", [False, True], ids=["idle", "busy"])
+    def test_teardown_joins_manager_and_reaps_workers(self, busy):
+        pool = faults._fork_pool(2)
+        assert pool.submit(_double, 1).result(timeout=30) == 2
+        if busy:
+            pool.submit(time.sleep, 60)
+        manager = pool._executor_manager_thread
+        procs = list(pool._processes.values())
+        assert manager.is_alive() and len(procs) == 2
+        faults._teardown_pool(pool)
+        assert not manager.is_alive()
+        assert all(proc.exitcode is not None for proc in procs)
 
 
 class TestRunJournal:

@@ -1,10 +1,13 @@
-"""Server behaviors: protocol, coalescing, admission, fault handling.
+"""Server behaviors: protocol, coalescing, admission, fault handling,
+warm workers.
 
 Each test spins a real in-process server on an ephemeral port and
 drives it over HTTP — the same path production clients use.
 """
 
+import multiprocessing
 import os
+import signal
 import threading
 import time
 
@@ -16,6 +19,21 @@ from repro.serve import server as server_module
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.server import ServeConfig
 from tests.serve.conftest import SOURCE
+
+
+_SERVE_WORKER = server_module._serve_worker
+
+
+def _serve_worker_pid(item):
+    """The request executor, with its worker's pid in the result."""
+    out = _SERVE_WORKER(item)
+    if out.get("ok"):
+        out["result"]["pid"] = os.getpid()
+    return out
+
+
+def _live_children():
+    return {p.pid for p in multiprocessing.active_children()}
 
 
 def _wait_for_inflight(server, n, timeout=10.0):
@@ -35,6 +53,7 @@ class TestProtocol:
             assert health["ok"] is True and health["draining"] is False
             stats = client.statsz()
             assert stats["schema"] == "slms-serve-stats/2"
+            assert stats["requests"]["workers_started"] == 0
             assert stats["queue"]["limit"] == server.config.queue_limit
             assert list(stats["cache"]["tiers"]) == [
                 "full", "transform", "compile", "simulate", "verify",
@@ -285,3 +304,92 @@ class TestDrain:
             assert status == 503
             assert envelope["error"]["kind"] == "draining"
             assert client.healthz()["draining"] is True
+
+
+class TestWarmWorkers:
+    """Each request borrows an idle worker and returns it when its
+    attempts succeeded; anything else discards it."""
+
+    @pytest.fixture(autouse=True)
+    def _pid_results(self, monkeypatch):
+        monkeypatch.setattr(server_module, "_serve_worker",
+                            _serve_worker_pid)
+
+    @staticmethod
+    def _pid(client, seconds):
+        status, envelope = client.post("sleep", {"seconds": seconds})
+        assert status == 200, envelope
+        return envelope["result"]["pid"]
+
+    def test_sequential_requests_run_in_one_worker(self, running_server):
+        with running_server() as server:
+            client = ServeClient(server.url)
+            pids = {self._pid(client, 0.001 * i) for i in range(3)}
+            status, envelope = client.post("compile", {"source": SOURCE})
+            assert status == 200
+            pids.add(envelope["result"]["pid"])
+            assert len(pids) == 1 and os.getpid() not in pids
+            requests = client.statsz()["requests"]
+            assert requests["executions"] == 4
+            assert requests["workers_started"] == 1
+
+    @pytest.mark.parametrize(
+        "spec,status", [("crash:1", 500), ("hang:1@30", 500),
+                        ("fail:1", 500), ("transient:1", 200)],
+    )
+    def test_next_request_after_a_fault_gets_a_new_worker(
+        self, running_server, spec, status
+    ):
+        with running_server(fault_plan=FaultPlan.parse(spec),
+                            timeout_s=1.0, crash_strikes=1) as server:
+            client = ServeClient(server.url)
+            first = self._pid(client, 0)
+            assert client.post("sleep", {"seconds": 0.001})[0] == status
+            assert self._pid(client, 0.002) != first
+            assert first not in _live_children()
+
+    def test_killed_idle_worker_costs_no_strike(self, running_server):
+        with running_server(crash_strikes=1) as server:
+            client = ServeClient(server.url)
+            first = self._pid(client, 0)
+            os.kill(first, signal.SIGKILL)
+            deadline = time.monotonic() + 10
+            while first in _live_children():
+                assert time.monotonic() < deadline
+                time.sleep(0.02)
+            status, envelope = client.post("sleep", {"seconds": 0.001})
+            assert status == 200 and envelope["attempts"] == 1
+            assert envelope["result"]["pid"] != first
+            stats = client.statsz()
+            assert stats["requests"]["failed"] == 0
+            assert stats["quarantine"] == []
+
+    def test_burst_keeps_one_idle_worker_per_cpu(self, running_server):
+        burst = (os.cpu_count() or 1) + 2
+        with running_server() as server:
+            client = ServeClient(server.url)
+            barrier = threading.Barrier(burst)
+            pids = []
+
+            def request(i):
+                barrier.wait(timeout=30)
+                pids.append(self._pid(client, 0.5 + 0.001 * i))
+
+            threads = [threading.Thread(target=request, args=(i,))
+                       for i in range(burst)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert len(pids) == burst
+            idle = len(server.pools._idle)
+            assert 1 <= idle <= (os.cpu_count() or 1)
+            assert server.pools.started >= idle
+
+    def test_server_close_stops_every_worker(self, running_server):
+        with running_server() as server:
+            pid = self._pid(ServeClient(server.url), 0)
+            assert pid in _live_children()
+        assert server.pools._idle == []
+        assert pid not in _live_children()

@@ -1,6 +1,8 @@
 """SIGTERM semantics, end to end in real subprocesses.
 
 * ``slms serve`` drains: in-flight requests complete, exit code 0.
+* ``slms serve`` leaves no worker behind: the drain stops its idle
+  workers, and after a SIGKILL they exit by themselves.
 * ``slms sweep`` (and every CLI command) exits 143 with a resume hint.
 """
 
@@ -18,7 +20,7 @@ import pytest
 SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
-def _spawn(args, tmp_path, **env_extra):
+def _spawn(args, tmp_path, *, new_session=False, **env_extra):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.abspath(SRC)
     env["SLMS_CACHE_DIR"] = str(tmp_path / "cache")
@@ -31,6 +33,7 @@ def _spawn(args, tmp_path, **env_extra):
         stderr=subprocess.STDOUT,
         text=True,
         env=env,
+        start_new_session=new_session,
     )
 
 
@@ -93,6 +96,94 @@ class TestServeDrain:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait()
+
+
+def _children(pid):
+    """Pids of the child processes of ``pid``."""
+    out = set()
+    for task in os.listdir(f"/proc/{pid}/task"):
+        try:
+            with open(f"/proc/{pid}/task/{task}/children") as handle:
+                out.update(int(child) for child in handle.read().split())
+        except OSError:
+            pass
+    return out
+
+
+def _running(pid):
+    """Does ``pid`` still run (a zombie has exited)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            state = handle.read().rsplit(")", 1)[1].split()[0]
+    except OSError:
+        return False
+    return state not in ("Z", "X")
+
+
+def _serve_with_a_worker(tmp_path, new_session=False):
+    """A ``slms serve`` that has run one request: (proc, worker pids)."""
+    proc = _spawn(["serve", "--port", "0", "--enable-sleep"], tmp_path,
+                  new_session=new_session)
+    banner = proc.stdout.readline()
+    assert "# serving on " in banner, banner
+    url = banner.split("# serving on ")[1].split(" ")[0].strip()
+    status, _ = _post(url, "sleep", {"seconds": 0})
+    assert status == 200
+    workers = _children(proc.pid)
+    assert workers, "the request left no idle worker"
+    return proc, workers
+
+
+@pytest.mark.slow
+@pytest.mark.skipif(
+    not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"),
+    reason="needs /proc/<pid>/task/<tid>/children",
+)
+class TestServeWorkers:
+    def test_drain_stops_idle_workers(self, tmp_path):
+        proc, workers = _serve_with_a_worker(tmp_path)
+        try:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=30) == 0
+            assert not any(_running(pid) for pid in workers)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+    def test_sigint_to_the_group_drains_once(self, tmp_path):
+        # Ctrl-C in a terminal signals the whole process group: the
+        # server drains, and its idle workers ignore the signal rather
+        # than run the server's inherited drain handler.
+        proc, workers = _serve_with_a_worker(tmp_path, new_session=True)
+        try:
+            os.killpg(proc.pid, signal.SIGINT)
+            assert proc.wait(timeout=30) == 0
+            out = proc.stdout.read()
+            assert out.count("# draining") == 1, out
+            assert "# drained; exiting" in out
+            assert not any(_running(pid) for pid in workers)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+
+    def test_workers_of_a_killed_server_exit(self, tmp_path):
+        proc, workers = _serve_with_a_worker(tmp_path)
+        try:
+            proc.kill()
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while any(_running(pid) for pid in workers):
+                assert time.monotonic() < deadline, workers
+                time.sleep(0.1)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 @pytest.mark.slow
