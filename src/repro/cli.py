@@ -1026,7 +1026,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         queue_limit=args.queue_limit,
         timeout_s=None if args.timeout == 0 else args.timeout,
         crash_strikes=args.crash_strikes,
-        isolation=not args.no_isolation,
         fault_plan=FaultPlan.from_env(),
         session=session,
         enable_sleep=args.enable_sleep,
@@ -1395,9 +1394,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                          metavar="N",
                          help="worker crashes before a request key is "
                          "quarantined (default 2)")
-    p_serve.add_argument("--no-isolation", action="store_true",
-                         help="execute requests in-process (no real "
-                         "hang/crash containment; faster)")
     p_serve.add_argument("--machine", default="itanium2",
                          help="session default machine")
     p_serve.add_argument("--compiler", default="gcc_O3",

@@ -73,6 +73,7 @@ from repro.backend.compiler import CompilerConfig
 from repro.backend.lir import Module
 from repro.core.slms import SLMSOptions
 from repro.machines.model import MachineModel
+from repro.obs.ledger import digest_of
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -114,11 +115,6 @@ def _jsonable(value: Any) -> Any:
     return value
 
 
-def _digest(payload: Any) -> str:
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 def experiment_key(
     workload: Workload,
     machine: MachineModel,
@@ -141,7 +137,7 @@ def experiment_key(
         "options": _jsonable(options or SLMSOptions()),
         "verify": bool(verify),
     }
-    return _digest(payload)
+    return digest_of(payload)
 
 
 def request_key(op: str, params: Any, context: Any = None) -> str:
@@ -153,7 +149,7 @@ def request_key(op: str, params: Any, context: Any = None) -> str:
     the same canonicalisation as the experiment keys, so dataclasses,
     dicts, and nested lists all hash stably.
     """
-    return _digest(
+    return digest_of(
         {
             "tier": "request",
             "engine": ENGINE_VERSION,
@@ -167,7 +163,7 @@ def request_key(op: str, params: Any, context: Any = None) -> str:
 # -- per-phase keys ------------------------------------------------------
 def transform_key(workload: Workload, options: Optional[SLMSOptions]) -> str:
     """The transform tier reads only the sources and the options."""
-    return _digest(
+    return digest_of(
         {
             "tier": "transform",
             "engine": ENGINE_VERSION,
@@ -182,7 +178,7 @@ def compile_key(
     source: str, machine: MachineModel, compiler: CompilerConfig
 ) -> str:
     """The compile tier reads the program text, machine and preset."""
-    return _digest(
+    return digest_of(
         {
             "tier": "compile",
             "engine": ENGINE_VERSION,
@@ -195,7 +191,7 @@ def compile_key(
 
 def simulate_key(module: Module, machine: MachineModel) -> str:
     """The simulate tier reads the final LIR and the machine model."""
-    return _digest(
+    return digest_of(
         {
             "tier": "simulate",
             "engine": ENGINE_VERSION,
@@ -220,7 +216,7 @@ def verify_key(
     machine-independent exactly when the compiled results are — which
     is the property verification checks in the first place.
     """
-    return _digest(
+    return digest_of(
         {
             "tier": "verify",
             "engine": ENGINE_VERSION,

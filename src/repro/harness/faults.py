@@ -34,7 +34,8 @@ Four cooperating pieces, all consumed by :mod:`repro.harness.engine`:
 Batches reach the dispatcher through :func:`repro.harness.engine.run_tasks`,
 which owns the journal and the parent-side rules; ``slms serve`` calls
 :func:`execute_guarded` directly, one request at a time, and lends each
-call a warm worker from its :class:`PoolStash`.  See
+call a warm worker from its :class:`PoolStash`: a lender makes every
+call run in a worker, with or without a time limit.  See
 ``docs/ROBUSTNESS.md`` for the retry/timeout semantics, the resume
 guarantees and a fault-injection cookbook.
 """
@@ -679,17 +680,17 @@ def execute_guarded(
 
     Containment requires a worker process, so a pool is used whenever
     ``workers > 1``, a ``timeout_s`` (per-task wall-clock limit) is
-    set, or ``fault_plan`` holds crash/hang rules; otherwise tasks run
-    in-process, where retry and classification still apply.  A worker
-    crash makes every task in flight a suspect; suspects re-run one at
-    a time, so only a task that crashes alone takes a strike, and
-    ``crash_strikes`` strikes quarantine it.
+    set, ``fault_plan`` holds crash/hang rules or a ``lender`` is given;
+    otherwise tasks run in-process, where retry and classification
+    still apply.  A worker crash makes every task in flight a suspect;
+    suspects re-run one at a time, so only a task that crashes alone
+    takes a strike, and ``crash_strikes`` strikes quarantine it.
 
     ``on_complete(index, outcome)`` fires once per task at its
     conclusion (checkpointing hook); ``sleep`` is injectable so tests
     can record the deterministic backoff schedule.
 
-    With a ``lender`` and ``workers == 1``, a pooled call's first pool
+    With a ``lender`` and ``workers == 1``, the call's first pool
     is the lender's idle pool (or one forked through it) and goes back
     to it when every attempt in it returned ok; a crash, timeout,
     failed attempt or broken pool tears it down instead.  Later pools
@@ -745,6 +746,7 @@ def execute_guarded(
     if not (
         workers > 1
         or timeout_s is not None
+        or lender is not None
         or (plan is not None and plan.needs_isolation())
     ):
         for i in range(n):

@@ -1,19 +1,22 @@
 """The ``slms serve`` HTTP server (protocol ``slms-serve/1``).
 
 Zero-dependency: stdlib ``http.server`` with one thread per
-connection.  Every execution is routed through the same guarded
-dispatcher the sweep engine uses
+connection.  Admission (:meth:`Session.validate`) decides every caller
+fault before any worker runs, except a source that does not parse.
+Every admitted request then runs in a worker process, through the same
+guarded dispatcher the sweep engine uses
 (:func:`repro.harness.faults.execute_guarded`), so requests inherit
 the full fault taxonomy for free — per-request wall-clock timeouts
 (a hung worker is torn down, not waited on), deterministic retry of
-transient failures, crash containment in a worker process, and
-structured :class:`~repro.harness.faults.FailedResult` classification.
+transient failures, crash containment, and structured
+:class:`~repro.harness.faults.FailedResult` classification.
 
 Workers stay warm: the server lends each request an idle one-worker
 pool from its :class:`~repro.harness.faults.PoolStash` (at most one per
-CPU) and takes it back when every attempt in it succeeded; a crash,
-timeout or failed attempt discards the worker, and an empty stash
-forks a new one.  ``server_close`` tears the idle workers down.
+CPU), with or without a time limit, and takes it back when every
+attempt in it succeeded; a crash, timeout or failed attempt discards
+the worker, and an empty stash forks a new one.  ``server_close`` tears
+the idle workers down.
 
 On top of that the server adds the service-level behaviors
 (docs/SERVING.md):
@@ -41,7 +44,6 @@ unresolved indices are ignored.
 from __future__ import annotations
 
 import json
-import os
 import signal
 import sys
 import threading
@@ -70,16 +72,11 @@ class ServeConfig:
     port: int = 8787
     #: Max distinct requests in flight before 429 shedding.
     queue_limit: int = 16
-    #: Per-request wall-clock limit (None = unlimited).
+    #: Per-request wall-clock limit (None = unlimited; the request
+    #: still runs in a lent worker).
     timeout_s: Optional[float] = 120.0
     #: Crashes of one request key before it is quarantined.
     crash_strikes: int = 2
-    #: Execute in a worker process, reused by later requests while its
-    #: attempts succeed (required for real timeout/crash containment).
-    #: ``False`` runs requests in-process unless an injected crash/hang
-    #: needs a worker: faster, but no timeout applies and a real crash
-    #: takes the server down.
-    isolation: bool = True
     fault_plan: Optional[FaultPlan] = None
     session: SessionConfig = field(default_factory=SessionConfig)
     #: Expose the deterministic ``sleep`` debug op (load/chaos tests).
@@ -114,27 +111,18 @@ class _Flight:
         )
 
 
-def _serve_worker(item: Tuple[str, Dict[str, Any], Dict[str, Any]]):
+def _serve_worker(item: Tuple[str, Dict[str, Any], SessionConfig]):
     """Top-level (picklable) request executor run under guard.
 
-    Returns an ``{"ok": …}`` envelope instead of raising for
-    caller-fault errors so they classify as 400s, not worker failures.
+    Returns an ``{"ok": …}`` envelope instead of raising for a source
+    that does not parse, the one caller fault admission leaves to the
+    worker, so it classifies as a 400, not a worker failure.
     """
-    op, params, session_cfg = item
-    # The serving layer owns fault injection for this request: with
-    # ambient_faults off, the engine inside it runs an explicit empty
-    # plan and never reads SLMS_FAULTS.
-    from dataclasses import replace as _replace
-
     from repro.lang.errors import FrontendError
 
-    session = Session(
-        _replace(SessionConfig.from_dict(session_cfg), ambient_faults=False)
-    )
+    op, params, session_config = item
     try:
-        result = session.handle(op, params)
-    except RequestError as exc:
-        return {"ok": False, "kind": "bad-request", "message": str(exc)}
+        result = Session(session_config).handle(op, params)
     except FrontendError as exc:
         return {"ok": False, "kind": "bad-request", "message": exc.format()}
     return {"ok": True, "result": result}
@@ -153,6 +141,9 @@ class SlmsServer(ThreadingHTTPServer):
         super().__init__((config.host, config.port), _Handler)
         self.config = config
         self.session = Session(config.session)
+        # The server owns fault injection for its requests: the engine
+        # inside a worker never reads SLMS_FAULTS.
+        self._worker_session = replace(config.session, ambient_faults=False)
         self.draining = False
         self.started_at = time.time()
         self._lock = threading.Lock()
@@ -235,7 +226,6 @@ class SlmsServer(ThreadingHTTPServer):
                     config={
                         "queue_limit": self.config.queue_limit,
                         "timeout_s": self.config.timeout_s,
-                        "isolation": self.config.isolation,
                         "session": self.config.session.to_dict(),
                     },
                     experiments=counters["executions"],
@@ -336,8 +326,8 @@ class SlmsServer(ThreadingHTTPServer):
             self.counters["executions"] += 1
         outcomes = execute_guarded(
             _serve_worker,
-            [(op, params, self.config.session.to_dict())],
-            timeout_s=self.config.timeout_s if self.config.isolation else None,
+            [(op, params, self._worker_session)],
+            timeout_s=self.config.timeout_s,
             crash_strikes=self.config.crash_strikes,
             fault_plan=self._plan_for(seq),
             labels=[f"{op}:{key[:16]}"],
@@ -473,14 +463,8 @@ class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server: SlmsServer
 
-    # Quiet by default: the access log goes to stderr only when asked.
-    def log_message(self, fmt, *args):  # pragma: no cover - noise
-        if os.environ.get("SLMS_SERVE_LOG"):
-            sys.stderr.write(
-                "%s - - [%s] %s\n"
-                % (self.address_string(), self.log_date_time_string(),
-                   fmt % args)
-            )
+    def log_message(self, fmt, *args):
+        """Quiet: the server writes no access log."""
 
     def _reply(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload).encode("utf-8")

@@ -10,13 +10,13 @@ and the equivalent CLI invocation execute identical code and produce
 identical result payloads (the acceptance digest in docs/SERVING.md
 pins this byte-for-byte).
 
-Validation is two-phase.  :meth:`Session.validate` is cheap and
-side-effect free — unknown ops, unknown parameter keys, unresolvable
-machine/compiler names — so the server can reject malformed requests
-at admission without burning a worker.  Anything that requires real
-work (parsing the source, running experiments) surfaces later as a
-:class:`RequestError` or a frontend diagnostic from the execution
-itself.
+:meth:`Session.validate` is cheap and side-effect free, and it
+decides every caller fault — an unknown op, an unknown or missing
+parameter, a value of the wrong JSON type (:data:`PARAM_TYPES`), bad
+options, an unknown machine, compiler, workload or suite — so the
+server rejects a malformed request at admission without burning a
+worker.  The one exception is a source that does not parse: parsing is
+real work, so its frontend diagnostic surfaces from the execution.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 
 class RequestError(ValueError):
@@ -46,7 +46,7 @@ OPTION_KEYS = (
 
 #: op → (required params, optional params).
 OP_PARAMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "compile": (("source",), OPTION_KEYS + ("style", "report")),
+    "compile": (("source",), OPTION_KEYS + ("style",)),
     "advise": (("source",), OPTION_KEYS),
     "trace": (("workload",), ("machine", "compiler", "verify")),
     "bench": (("workload",), ("machine", "compiler")),
@@ -57,6 +57,51 @@ OP_PARAMS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
 }
 
 OPS = tuple(sorted(OP_PARAMS))
+
+
+def _is_int(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strs(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+_BOOL = ("true or false", lambda value: isinstance(value, bool))
+_INT = ("an integer", _is_int)
+_STR = ("a string", lambda value: isinstance(value, str))
+_STRS = ("a list of strings", _is_strs)
+
+#: param → (its JSON type in words, the check).  JSON's ``true`` is no
+#: integer and ``"false"`` no boolean here.
+PARAM_TYPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
+    "enable_filter": _BOOL,
+    "force": _BOOL,
+    "allow_reassociation": _BOOL,
+    "verify": _BOOL,
+    "reduction_lanes": _INT,
+    "sched_budget": _INT,
+    "workers": _INT,
+    "source": _STR,
+    "workload": _STR,
+    "machine": _STR,
+    "compiler": _STR,
+    "style": _STR,
+    "expansion": _STR,
+    "scheduler": _STR,
+    "workloads": _STRS,
+    "suites": _STRS,
+    "pairs": (
+        "a list of [machine, compiler] pairs",
+        lambda value: isinstance(value, list)
+        and all(_is_strs(pair) and len(pair) == 2 for pair in value),
+    ),
+    "seconds": (
+        "a non-negative number",
+        lambda value: (_is_int(value) or isinstance(value, float))
+        and value >= 0,
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -86,13 +131,6 @@ class SessionConfig:
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data: Dict[str, Any]) -> "SessionConfig":
-        known = {f for f in SessionConfig.__dataclass_fields__}
-        return SessionConfig(
-            **{k: v for k, v in (data or {}).items() if k in known}
-        )
-
 
 def sweep_digest(sweep) -> str:
     """Raw-bytes sha256 of ``SweepResult.to_json()``.
@@ -119,6 +157,38 @@ def options_from_params(params: Dict[str, Any]):
         raise RequestError(str(exc)) from None
 
 
+def _style(params: Dict[str, Any]) -> str:
+    """The output style a compile request asks for."""
+    style = params.get("style", "c")
+    if style not in ("c", "paper"):
+        raise RequestError(f"unknown style {style!r}; use 'c' or 'paper'")
+    return style
+
+
+def _workload(name: str):
+    """The named workload; an unknown name is a :class:`RequestError`."""
+    from repro.workloads import get_workload
+
+    try:
+        return get_workload(name)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from None
+
+
+def _sweep_workloads(params: Dict[str, Any]) -> list:
+    """A sweep request's workloads: its ``workloads``, then every
+    member of each of its ``suites``."""
+    from repro.workloads import by_suite
+
+    workloads = [_workload(name) for name in params.get("workloads") or []]
+    try:
+        for suite in params.get("suites") or []:
+            workloads.extend(by_suite(suite))
+    except ValueError as exc:
+        raise RequestError(str(exc)) from None
+    return workloads
+
+
 @dataclass
 class Session:
     """Stateless request executor over the library pipeline.
@@ -132,7 +202,10 @@ class Session:
 
     # -- validation (cheap, side-effect free) --------------------------
     def validate(self, op: str, params: Dict[str, Any]) -> None:
-        """Reject malformed requests without doing any real work."""
+        """Reject a malformed request without doing any real work.
+
+        Decides every caller fault but a source that does not parse.
+        """
         if op not in OP_PARAMS:
             raise RequestError(
                 f"unknown op {op!r}; valid ops: {', '.join(OPS)}"
@@ -153,48 +226,43 @@ class Session:
                 f"missing required parameter(s) for {op}: "
                 + ", ".join(missing)
             )
-        if "source" in params and not isinstance(params["source"], str):
-            raise RequestError("'source' must be a string")
-        if "workload" in params and not isinstance(params["workload"], str):
-            raise RequestError("'workload' must be a string")
-        self._validate_names(op, params)
+        for key, value in params.items():
+            what, ok = PARAM_TYPES[key]
+            if not ok(value):
+                raise RequestError(f"'{key}' must be {what}")
+        self._validate_values(op, params)
 
-    def _validate_names(self, op: str, params: Dict[str, Any]) -> None:
+    def _validate_values(self, op: str, params: Dict[str, Any]) -> None:
         from repro.backend.compiler import COMPILER_PRESETS
         from repro.machines.presets import ALL_MACHINES
 
-        machine = params.get("machine", self.config.machine)
-        if (
-            op in ("trace", "bench")
-            and machine is not None
-            and machine not in ALL_MACHINES
-        ):
-            raise RequestError(
-                f"unknown machine {machine!r}; choose from "
-                + ", ".join(sorted(ALL_MACHINES))
-            )
-        compiler = params.get("compiler", self.config.compiler)
-        if op in ("trace", "bench") and compiler not in COMPILER_PRESETS:
-            raise RequestError(
-                f"unknown compiler preset {compiler!r}; choose from "
-                + ", ".join(sorted(COMPILER_PRESETS))
-            )
+        pairs: List[List[str]] = []
+        if op in ("compile", "advise"):
+            options_from_params(params)
+        if op == "compile":
+            _style(params)
+        if op in ("trace", "bench"):
+            _workload(params["workload"])
+            pairs = [[params.get("machine", self.config.machine),
+                      params.get("compiler", self.config.compiler)]]
         if op == "sweep":
-            for pair in params.get("pairs") or []:
-                if not (
-                    isinstance(pair, (list, tuple)) and len(pair) == 2
-                ):
-                    raise RequestError(
-                        f"bad pair {pair!r}; expected [machine, compiler]"
-                    )
-                if pair[0] not in ALL_MACHINES:
-                    raise RequestError(f"unknown machine {pair[0]!r}")
-                if pair[1] not in COMPILER_PRESETS:
-                    raise RequestError(f"unknown compiler preset {pair[1]!r}")
-        if op == "sleep":
-            seconds = params.get("seconds")
-            if not isinstance(seconds, (int, float)) or seconds < 0:
-                raise RequestError("'seconds' must be a non-negative number")
+            _sweep_workloads(params)
+            pairs = params.get("pairs", [])
+            if params.get("workers", 1) < 1:
+                raise RequestError(
+                    f"'workers' must be >= 1, got {params['workers']}"
+                )
+        for machine, compiler in pairs:
+            if machine not in ALL_MACHINES:
+                raise RequestError(
+                    f"unknown machine {machine!r}; choose from "
+                    + ", ".join(sorted(ALL_MACHINES))
+                )
+            if compiler not in COMPILER_PRESETS:
+                raise RequestError(
+                    f"unknown compiler preset {compiler!r}; choose from "
+                    + ", ".join(sorted(COMPILER_PRESETS))
+                )
 
     # -- dispatch ------------------------------------------------------
     def handle(self, op: str, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -211,9 +279,7 @@ class Session:
     def compile(self, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro import to_source
 
-        style = params.get("style", "c")
-        if style not in ("c", "paper"):
-            raise RequestError(f"unknown style {style!r}; use 'c' or 'paper'")
+        style = _style(params)
         options = options_from_params(params)
         outcome = self.compile_outcome(params["source"], options)
         return {
@@ -245,14 +311,9 @@ class Session:
         compiler: Optional[str] = None,
     ):
         from repro.harness.experiment import run_experiment
-        from repro.workloads import get_workload
 
-        try:
-            wl = get_workload(workload)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
         return run_experiment(
-            wl,
+            _workload(workload),
             machine or self.config.machine,
             compiler or self.config.compiler,
             verify=self.config.verify,
@@ -281,12 +342,8 @@ class Session:
         """
         from repro.harness.experiment import run_experiment
         from repro.obs import MetricsRegistry, Tracer, metrics_scope, tracing
-        from repro.workloads import get_workload
 
-        try:
-            wl = get_workload(workload)
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
+        wl = _workload(workload)
         verify = self.config.verify if verify is None else bool(verify)
         with tracing(Tracer()) as tracer, \
                 metrics_scope(MetricsRegistry()) as reg:
@@ -320,41 +377,32 @@ class Session:
         place in a coalesceable request payload."""
         from repro.harness.faults import FaultPlan
         from repro.harness.sweep import run_sweep
-        from repro.workloads import by_suite
 
-        workloads: List[str] = list(params.get("workloads") or [])
-        try:
-            for suite in params.get("suites") or []:
-                workloads.extend(wl.name for wl in by_suite(suite))
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
+        workloads = _sweep_workloads(params)
         pairs = params.get("pairs")
         if pairs is not None:
             pairs = [tuple(pair) for pair in pairs]
         verify = params.get("verify")
-        try:
-            return run_sweep(
-                workloads or None,
-                pairs=pairs,
-                verify=self.config.verify if verify is None else bool(verify),
-                workers=(
-                    params["workers"]
-                    if params.get("workers") is not None
-                    else self.config.workers
-                ),
-                use_cache=self.config.use_cache,
-                cache_dir=self.config.cache_dir,
-                task_timeout_s=task_timeout_s,
-                journal_path=journal_path,
-                resume=resume,
-                # Serving context: the request's own fault handling
-                # belongs to the server; an ambient SLMS_FAULTS plan
-                # must not be re-applied to every engine task inside
-                # the request's worker.
-                fault_plan=None if self.config.ambient_faults else FaultPlan(),
-            )
-        except ValueError as exc:
-            raise RequestError(str(exc)) from None
+        return run_sweep(
+            workloads or None,
+            pairs=pairs,
+            verify=self.config.verify if verify is None else bool(verify),
+            workers=(
+                params["workers"]
+                if params.get("workers") is not None
+                else self.config.workers
+            ),
+            use_cache=self.config.use_cache,
+            cache_dir=self.config.cache_dir,
+            task_timeout_s=task_timeout_s,
+            journal_path=journal_path,
+            resume=resume,
+            # Serving context: the request's own fault handling
+            # belongs to the server; an ambient SLMS_FAULTS plan
+            # must not be re-applied to every engine task inside
+            # the request's worker.
+            fault_plan=None if self.config.ambient_faults else FaultPlan(),
+        )
 
     def sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
         sweep = self.sweep_result(params)

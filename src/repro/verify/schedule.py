@@ -571,9 +571,9 @@ class _CollectorPause:
     meanwhile are not lost, only deferred until no validation is in
     flight: the allocation counts keep growing while paused, so the
     first allocation after the last exit starts the collection they
-    would have started.  While validations keep overlapping (concurrent
-    verify requests on ``slms serve --no-isolation`` handler threads)
-    that deferral has no upper bound.
+    would have started.  While validations keep overlapping (a library
+    caller validating on several threads) that deferral has no upper
+    bound.
 
     ``gc.enable``/``gc.disable`` are process-wide, so a plain
     save/disable/restore per call would leave the collector off when

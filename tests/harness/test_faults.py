@@ -379,10 +379,11 @@ class TestWarmWorkers:
         assert stash.started == 1
         assert len(stash._idle) == 1
 
-    def test_in_process_call_never_borrows(self, stash):
+    def test_a_lender_pools_a_call_without_a_limit(self, stash):
+        assert execute_guarded(_pid, [0])[0].value == os.getpid()
         outcome = execute_guarded(_pid, [0], lender=stash)[0]
-        assert outcome.value == os.getpid()
-        assert stash.started == 0 and stash._idle == []
+        assert outcome.value != os.getpid()
+        assert stash.started == 1 and len(stash._idle) == 1
 
     @pytest.mark.parametrize(
         "spec,ok", [("crash:0", False), ("hang:0@30", False),

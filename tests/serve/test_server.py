@@ -70,11 +70,44 @@ class TestProtocol:
             assert envelope["attempts"] == 1
             assert envelope["result"]["applied"] == 1
 
-    def test_bad_params_is_400_without_execution(self, running_server):
+    @pytest.mark.parametrize(
+        "op,params",
+        [
+            pytest.param("compile", {"nope": 1}, id="unknown-param"),
+            pytest.param("compile", {"source": SOURCE, "report": True},
+                         id="compile-report"),
+            pytest.param("compile", {"source": SOURCE, "force": "false"},
+                         id="force-str"),
+            pytest.param("compile", {"source": SOURCE, "reduction_lanes": "x"},
+                         id="lanes-str"),
+            pytest.param("compile", {"source": SOURCE, "sched_budget": "10"},
+                         id="budget-str"),
+            pytest.param("compile", {"source": SOURCE, "machine": ["x"]},
+                         id="compile-machine-list"),
+            pytest.param("compile", {"source": SOURCE, "style": "fortran"},
+                         id="unknown-style"),
+            pytest.param("bench", {"workload": "daxpy", "machine": ["x"]},
+                         id="bench-machine-list"),
+            pytest.param("bench", {"workload": "nope"},
+                         id="unknown-workload"),
+            pytest.param("trace", {"workload": "daxpy", "verify": "no"},
+                         id="verify-str"),
+            pytest.param("sweep", {"pairs": [[["x"], "gcc_O3"]]},
+                         id="pair-machine-list"),
+            pytest.param("sweep", {"workloads": "daxpy"},
+                         id="workloads-str"),
+            pytest.param("sweep", {"suites": ["specfp"]},
+                         id="unknown-suite"),
+            pytest.param("sweep", {"workloads": ["daxpy"], "workers": 0},
+                         id="zero-workers"),
+        ],
+    )
+    def test_bad_params_is_400_without_execution(self, running_server, op,
+                                                 params):
         with running_server() as server:
             client = ServeClient(server.url)
-            status, envelope = client.post("compile", {"nope": 1})
-            assert status == 400
+            status, envelope = client.post(op, params)
+            assert status == 400, envelope
             assert envelope["error"]["kind"] == "bad-request"
             assert server.counters["executions"] == 0
 
@@ -223,13 +256,13 @@ class TestFaults:
             assert envelope["error"]["kind"] == "timeout"
             assert server.failed_kinds == {"timeout": 1}
 
-    def test_in_process_request_leaves_the_environment_alone(
+    def test_ambient_plan_stays_out_of_the_request(
         self, running_server, monkeypatch
     ):
-        """Without isolation the request runs in the server process: an
-        ambient plan must neither reach its engine nor be removed."""
+        """An ambient plan must neither reach the engine inside the
+        request's worker nor be removed from the server's environment."""
         monkeypatch.setenv("SLMS_FAULTS", "fail:0")
-        with running_server(isolation=False) as server:
+        with running_server() as server:
             status, envelope = ServeClient(server.url).post(
                 "sweep",
                 {"workloads": ["daxpy"], "pairs": [["itanium2", "gcc_O3"]]},
@@ -294,6 +327,13 @@ class TestSettings:
         assert main(["serve", "--port", "0", "--timeout", "0"]) == 0
         assert [config.timeout_s for config in started] == [None]
 
+    def test_cli_has_no_isolation_switch(self, started, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["serve", "--port", "0", "--no-isolation"])
+        assert info.value.code == 2
+        assert started == []
+        assert "--no-isolation" in capsys.readouterr().err
+
 
 class TestDrain:
     def test_draining_refuses_new_requests(self, running_server):
@@ -321,8 +361,10 @@ class TestWarmWorkers:
         assert status == 200, envelope
         return envelope["result"]["pid"]
 
-    def test_sequential_requests_run_in_one_worker(self, running_server):
-        with running_server() as server:
+    @pytest.mark.parametrize("timeout_s", [ServeConfig.timeout_s, None])
+    def test_sequential_requests_run_in_one_worker(self, running_server,
+                                                   timeout_s):
+        with running_server(timeout_s=timeout_s) as server:
             client = ServeClient(server.url)
             pids = {self._pid(client, 0.001 * i) for i in range(3)}
             status, envelope = client.post("compile", {"source": SOURCE})

@@ -124,13 +124,22 @@ def _serve_with_a_worker(tmp_path, new_session=False):
     """A ``slms serve`` that has run one request: (proc, worker pids)."""
     proc = _spawn(["serve", "--port", "0", "--enable-sleep"], tmp_path,
                   new_session=new_session)
-    banner = proc.stdout.readline()
-    assert "# serving on " in banner, banner
-    url = banner.split("# serving on ")[1].split(" ")[0].strip()
-    status, _ = _post(url, "sleep", {"seconds": 0})
-    assert status == 200
-    workers = _children(proc.pid)
-    assert workers, "the request left no idle worker"
+    try:
+        banner = proc.stdout.readline()
+        assert "# serving on " in banner, banner
+        url = banner.split("# serving on ")[1].split(" ")[0].strip()
+        status, _ = _post(url, "sleep", {"seconds": 0})
+        assert status == 200
+        # The worker's parent is the handler thread that forked it, and
+        # while that thread exits the worker is listed under no thread.
+        deadline = time.monotonic() + 10
+        while not (workers := _children(proc.pid)):
+            assert time.monotonic() < deadline, "the request left no worker"
+            time.sleep(0.05)
+    except BaseException:
+        proc.kill()
+        proc.wait()
+        raise
     return proc, workers
 
 
