@@ -48,6 +48,7 @@ import signal
 import sys
 import threading
 import time
+import traceback
 from dataclasses import dataclass, field, replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional, Tuple
@@ -244,14 +245,26 @@ class SlmsServer(ThreadingHTTPServer):
 
     # -- request processing -------------------------------------------
     def process(self, op: str, params: Dict[str, Any]) -> Tuple[int, Dict]:
-        """Admit, coalesce, execute; returns (http_status, envelope)."""
+        """Admit, coalesce, execute; returns (http_status, envelope).
+
+        Any exception but a caller fault is the server's: its traceback
+        goes to stderr, and it becomes a counted 500 of kind
+        ``internal``, not a dropped connection.
+        """
         t0 = time.perf_counter()
-        status, envelope = self._process(op, params)
+        try:
+            status, envelope = self._process(op, params)
+        except Exception as exc:
+            traceback.print_exc()
+            status, envelope = 500, _err(
+                "internal", f"{type(exc).__name__}: {exc}"
+            )
         envelope.setdefault("schema", SERVE_SCHEMA)
         envelope.setdefault("op", op)
         envelope["elapsed_s"] = round(time.perf_counter() - t0, 6)
         self._account(status, envelope)
-        self._record_span(op, status, envelope)
+        if self.config.trace_out:
+            self._record_span(op, status, envelope)
         return status, envelope
 
     def _process(self, op: str, params: Dict[str, Any]) -> Tuple[int, Dict]:
@@ -402,7 +415,8 @@ class SlmsServer(ThreadingHTTPServer):
                 self.counters["coalesced"] += 1
 
     def _record_span(self, op, status, envelope) -> None:
-        """One ``serve.request`` span per request on the server tracer.
+        """One ``serve.request`` span per request on the server tracer,
+        kept only for ``trace_out``.
 
         Handler threads record into private tracers and merge under the
         lock (the tracer itself is not thread-safe).

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -96,10 +97,12 @@ PARAM_TYPES: Dict[str, Tuple[str, Callable[[Any], bool]]] = {
         lambda value: isinstance(value, list)
         and all(_is_strs(pair) and len(pair) == 2 for pair in value),
     ),
+    # ``time.sleep`` raises OverflowError for 1e308 or Infinity; it takes
+    # any value up to TIMEOUT_MAX.  NaN fails the comparisons.
     "seconds": (
-        "a non-negative number",
+        f"a number from 0 to {threading.TIMEOUT_MAX:.0f}",
         lambda value: (_is_int(value) or isinstance(value, float))
-        and value >= 0,
+        and 0 <= value <= threading.TIMEOUT_MAX,
     ),
 }
 

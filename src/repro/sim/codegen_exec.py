@@ -18,14 +18,28 @@ runs the entire loop, keeping registers in Python locals across
 iterations and charging the step budget and execution count per
 iteration exactly as the per-block dispatch loop would have.
 
+Execution is tiered.  ``compile`` costs far more than running a
+block once, and a small module (a fuzz case runs a few hundred LIR
+instructions) runs most of its blocks only a few times.  So every
+block starts *cold*: an entry runs it through the reference's own
+step (:meth:`~repro.sim.lir_interp.LIRInterpreter.step`, over this
+run's memory, registers and spill slots), with a probe observer that
+counts misses in the same tags list and miss cell as the generated
+code.  A block turns *hot* once it has run :data:`HOT_BUDGET`
+instructions cold, and a self-loop as soon as it takes its first
+back-edge; from then on its generated function takes every entry.
+The dispatch loop, the step budget and the per-block counts are the
+same for both tiers, so the tier a block runs in never shows in the
+state, the metrics or an error.
+
 This is the simulator's only execution path
-(:func:`repro.sim.executor.execute`).  It shares no code with the
-reference but how ``env`` seeds the run and how the final state is
-read back (``lir_interp.seed_state``/``final_state``).  Strict
-equivalence with the reference — the LIR interpreter driven by the
-per-instruction observer — is load-bearing, since experiment digests
-are pinned byte-identical, so the generated code mirrors the reference
-semantics operation for operation:
+(:func:`repro.sim.executor.execute`).  Its generated code shares no
+code with the reference but how ``env`` seeds the run and how the
+final state is read back (``lir_interp.seed_state``/``final_state``).
+Strict equivalence with the reference — the LIR interpreter driven by
+the per-instruction observer — is load-bearing, since experiment
+digests are pinned byte-identical, so the generated code mirrors the
+reference semantics operation for operation:
 
 * the arithmetic is that of ``lir_interp._BINOPS``/``_UNOPS``, except
   that an ``int(x)``/``float(x)`` operand coercion is left out where
@@ -38,7 +52,10 @@ semantics operation for operation:
 * registers live in locals, preloaded with ``R.get(name, 0)`` only
   when their first use is a read, and written back before every return
   point; a mid-block exception loses uncommitted locals, which is
-  unobservable because callers discard state and metrics on error;
+  unobservable because callers discard state and metrics on error.
+  The type fixpoint is seeded from the registers and spill slots
+  ``env`` gave the run, not from whatever the cold blocks left in
+  them when the first block compiles;
 * the cache probe inlines :class:`~repro.sim.cache.DirectMappedCache`
   (``line = addr // line_bytes; slot = line % num_lines``) against a
   shared tags list, and addresses inline the
@@ -82,8 +99,19 @@ from repro.machines.model import MachineModel
 from repro.sim.cache import AddressMap
 from repro.sim.executor import ExecutionMetrics, _profile_blocks
 from repro.sim.interp import InterpError, _c_div, _c_mod
-from repro.sim.lir_interp import final_state, seed_state
+from repro.sim.lir_interp import (
+    LIRInterpreter,
+    Observer,
+    final_state,
+    seed_state,
+)
 from repro.sim.lir_types import TypeMap, block_entry_types, step
+
+# A block runs through the reference's own step (cold) until it has run
+# this many instructions, and is exec-compiled (hot) from then on: most
+# blocks of a small module run too few instructions to repay
+# ``compile``.  A self-loop turns hot at its first back-edge instead.
+HOT_BUDGET = 256
 
 # Source text → compiled code object.  Keyed on the full generated
 # source, so a hit is exact by construction; bounded as a backstop
@@ -606,8 +634,31 @@ class _BlockCodegen:
         return self._assemble(inner)
 
 
+class _ColdProbe(Observer):
+    """The cold tier's cache probe: the generated blocks' miss count,
+    kept in the same tags list and miss cell."""
+
+    def __init__(
+        self, amap: AddressMap, machine: MachineModel,
+        tags: List[int], misses: List[int],
+    ):
+        self.address = amap.address
+        self.line = machine.cache.line_bytes
+        self.nlines = machine.cache.num_lines
+        self.tags = tags
+        self.misses = misses
+
+    def on_mem(self, array: str, flat_index: int, is_store: bool) -> None:
+        line = self.address(array, flat_index) // self.line
+        slot = line % self.nlines
+        if self.tags[slot] != line:
+            self.tags[slot] = line
+            self.misses[0] += 1
+
+
 class ExecCompiledInterpreter:
-    """Runs a module as exec-compiled fused block functions.
+    """Runs a module as exec-compiled fused block functions, each
+    compiled once its block turns hot.
 
     Produces the final state via :meth:`run` and the accounting via
     :meth:`metrics`, both strictly equal to running
@@ -647,7 +698,18 @@ class ExecCompiledInterpreter:
         self._touched: List[int] = []
         self._self_loops = _self_loops(module)
         self.memory, self.regs, self.spill = seed_state(module, env)
-        self._entry_types = block_entry_types(module, self.regs, self.spill)
+        # The first compile types the blocks from the initial registers
+        # and spill slots, which the cold blocks may have changed by then.
+        self._seed = (dict(self.regs), dict(self.spill))
+        self._entry_types: Optional[Dict[str, Optional[TypeMap]]] = None
+        self._reference = LIRInterpreter(
+            module,
+            functions=self.functions,
+            observer=_ColdProbe(
+                self._amap, machine, self._tags, self._misses
+            ),
+            state=(self.memory, self.regs, self.spill),
+        )
         self._block_index: Dict[str, int] = {
             name: idx for idx, name in enumerate(module.order)
         }
@@ -656,13 +718,40 @@ class ExecCompiledInterpreter:
         self._block_steps: List[int] = [
             len(module.blocks[name].instrs) for name in module.order
         ]
-        self._fused: List[Callable[[], Optional[str]]] = [
-            self._compile(module.blocks[name]) for name in module.order
-        ]
+        # Per block: the instructions it has run cold (see ``_cold``),
+        # and its fused function once it is hot.
+        self._heat: List[int] = [0] * len(module.order)
+        self._fused: List[Optional[Callable[[], Optional[str]]]] = [
+            None
+        ] * len(module.order)
+
+    def _cold(self, idx: int) -> Optional[str]:
+        """Run block ``idx`` once through the reference's own step while
+        it is cold; once hot, compile it and let its fused function take
+        this and every later entry.
+
+        A block turns hot when it has run :data:`HOT_BUDGET`
+        instructions cold, or when it is a self-loop that has just
+        taken its back-edge: its remaining iterations then run in the
+        loop superblock.
+        """
+        name = self.module.order[idx]
+        heat = self._heat[idx]
+        if heat >= HOT_BUDGET:
+            fused = self._fused[idx] = self._compile(self.module.blocks[name])
+            return fused()
+        jump = self._reference.step(self.module.blocks[name].instrs)
+        if jump == name and name in self._self_loops:
+            self._heat[idx] = HOT_BUDGET
+        else:
+            self._heat[idx] = heat + self._profiles[name].instructions
+        return jump
 
     def _block_source(self, block: Block) -> _Generated:
         """Generated source, constants tuple and register names tuple
         for ``block``."""
+        if self._entry_types is None:
+            self._entry_types = block_entry_types(self.module, *self._seed)
         types = self._entry_types[block.name]
         gen = _BlockCodegen(
             block, self.module, self.machine, self._amap,
@@ -694,6 +783,7 @@ class ExecCompiledInterpreter:
     def run(self) -> Dict[str, Any]:
         """Execute from the entry block; returns the final state."""
         fused = self._fused
+        cold = self._cold
         block_index = self._block_index
         block_steps = self._block_steps
         counts = self._exec_counts
@@ -712,7 +802,8 @@ class ExecCompiledInterpreter:
                 if not counts[idx]:
                     touched.append(idx)
                 counts[idx] += 1
-                jump = fused[idx]()
+                hot = fused[idx]
+                jump = cold(idx) if hot is None else hot()
                 if jump is None:
                     idx += 1
                 else:

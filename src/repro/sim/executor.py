@@ -19,10 +19,12 @@ block — IR check V217), so its instruction count, op-class mix and
 per-op energy are precomputed once and charged per block execution.
 Memory/cache events stay dynamic — they depend on the addresses
 actually touched.  :func:`execute` runs the exec-compiled fast path
-(:mod:`repro.sim.codegen_exec`); the plain per-instruction
-:class:`~repro.sim.lir_interp.LIRInterpreter` driven by
-:class:`_DynamicTimingObserver`, which charges every instruction as it
-runs, is the reference that tests pin the fast path against.
+(:mod:`repro.sim.codegen_exec`), which compiles a block only once it
+is hot and steps cold blocks with the reference's own per-instruction
+step; either way it charges blocks through these profiles.  The plain
+per-instruction :class:`~repro.sim.lir_interp.LIRInterpreter` driven
+by :class:`_DynamicTimingObserver`, which charges every instruction as
+it runs, is the reference that tests pin the fast path against.
 
 The functional result is returned alongside the metrics so every
 benchmark doubles as a correctness check against the source
@@ -217,7 +219,7 @@ def execute(
 ) -> ExecutionResult:
     """Functionally execute ``module`` while accounting cycles/energy.
 
-    Runs the exec-compiled fast path
+    Runs the tiered exec-compiled fast path
     (:class:`~repro.sim.codegen_exec.ExecCompiledInterpreter`) over
     static per-block profiles.  Raises ``ValueError`` naming V217 when
     a block's executed instruction mix is path-dependent.

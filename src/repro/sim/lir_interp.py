@@ -11,16 +11,18 @@ reports every block entry, instruction and memory access to an
 :class:`Observer`; the cycle simulator's reference accounting
 (:class:`repro.sim.executor._DynamicTimingObserver`) plugs in there
 without duplicating the semantics.  The simulator's fast path
-(:mod:`repro.sim.codegen_exec`) is pinned to this pair and shares only
-:func:`seed_state` and :func:`final_state` with it: how ``env`` seeds
+(:mod:`repro.sim.codegen_exec`) is pinned to this pair.  It shares
+:func:`seed_state` and :func:`final_state` with it (how ``env`` seeds
 memory, registers and spill slots, and how the source-level state is
-read back.
+read back), and it runs its cold blocks through this interpreter's own
+:meth:`LIRInterpreter.step`, over the fast path's state (the ``state``
+argument), so the LIR semantics are stated once.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,9 +80,11 @@ _UNOPS: Dict[str, Callable[[Any], Any]] = {
 }
 
 
-def seed_state(
-    module: Module, env: Optional[Mapping[str, Any]]
-) -> Tuple[Dict[str, np.ndarray], Dict[str, Any], Dict[int, Any]]:
+# Flat array memory, registers and spill slots of one run.
+_State = Tuple[Dict[str, np.ndarray], Dict[str, Any], Dict[int, Any]]
+
+
+def seed_state(module: Module, env: Optional[Mapping[str, Any]]) -> _State:
     """Flat array memory, registers and spill slots at entry.
 
     Arrays start as the ``env`` array of the same name (copied, and
@@ -145,7 +149,9 @@ class LIRInterpreter:
     """Interprets a module; see :func:`run_module` for the one-shot API.
 
     Registers and spill slots never written read as 0 (declared
-    scalars default to zero in the source semantics).
+    scalars default to zero in the source semantics).  ``state``, a
+    ``(memory, registers, spill)`` triple, makes the interpreter work
+    on those dicts in place instead of seeding its own from ``env``.
     """
 
     def __init__(
@@ -155,13 +161,16 @@ class LIRInterpreter:
         functions: Optional[Mapping[str, Callable[..., Any]]] = None,
         observer: Optional[Observer] = None,
         max_steps: int = 50_000_000,
+        state: Optional[_State] = None,
     ):
         self.module = module
         self.functions = dict(functions or {})
         self.observer = observer or Observer()
         self.max_steps = max_steps
         self.steps = 0
-        self.memory, self.regs, self.spill = seed_state(module, env)
+        self.memory, self.regs, self.spill = (
+            seed_state(module, env) if state is None else state
+        )
 
     def run(self) -> Dict[str, Any]:
         """Execute from the entry block; returns the final state."""
@@ -179,12 +188,7 @@ class LIRInterpreter:
             self.steps += len(instrs)
             if self.steps > self.max_steps:
                 raise InterpError("LIR step budget exceeded")
-            jump: Optional[str] = None
-            for instr in instrs:
-                observer.on_instr(instr)
-                jump = self._execute(instr)
-                if jump is not None:
-                    break
+            jump = self.step(instrs)
             if jump is None:
                 idx += 1
             elif jump in index:
@@ -192,6 +196,18 @@ class LIRInterpreter:
             else:
                 raise InterpError(f"branch to unknown block {jump!r}")
         return final_state(module, self.memory, self.regs, self.spill)
+
+    def step(self, instrs: Sequence[Instr]) -> Optional[str]:
+        """Run one block's ``instrs`` in order, each reported to the
+        observer first, until one transfers control; returns its target
+        label, or ``None`` to fall through."""
+        on_instr = self.observer.on_instr
+        for instr in instrs:
+            on_instr(instr)
+            jump = self._execute(instr)
+            if jump is not None:
+                return jump
+        return None
 
     def _execute(self, instr: Instr) -> Optional[str]:
         """Run one instruction; returns the branch target label when

@@ -100,6 +100,9 @@ class TestProtocol:
                          id="unknown-suite"),
             pytest.param("sweep", {"workloads": ["daxpy"], "workers": 0},
                          id="zero-workers"),
+            pytest.param("sleep", {"seconds": 1e308}, id="seconds-1e308"),
+            pytest.param("sleep", {"seconds": float("inf")},
+                         id="seconds-infinity"),
         ],
     )
     def test_bad_params_is_400_without_execution(self, running_server, op,
@@ -110,6 +113,33 @@ class TestProtocol:
             assert status == 400, envelope
             assert envelope["error"]["kind"] == "bad-request"
             assert server.counters["executions"] == 0
+
+    def test_admission_fault_is_a_counted_500(self, running_server,
+                                              monkeypatch):
+        def broken(self, op, params):
+            raise TypeError("unhashable type: 'list'")
+
+        monkeypatch.setattr(server_module.Session, "validate", broken)
+        with running_server() as server:
+            client = ServeClient(server.url)
+            status, envelope = client.post("sleep", {"seconds": 0})
+            assert status == 500
+            assert envelope["error"]["kind"] == "internal"
+            assert "TypeError" in envelope["error"]["message"]
+            requests = client.statsz()["requests"]
+            assert requests["requests"] == requests["failed"] == 1
+            assert requests["executions"] == 0
+            assert server.failed_kinds == {"internal": 1}
+
+    @pytest.mark.parametrize("trace_out", [None, "trace.json"])
+    def test_spans_are_kept_only_for_trace_out(self, running_server,
+                                               tmp_path, trace_out):
+        path = str(tmp_path / trace_out) if trace_out else None
+        with running_server(trace_out=path) as server:
+            client = ServeClient(server.url)
+            for _ in range(3):
+                assert client.post("sleep", {"seconds": 0})[0] == 200
+            assert len(server.tracer.spans) == (3 if trace_out else 0)
 
     def test_frontend_error_is_400(self, running_server):
         with running_server() as server:

@@ -20,6 +20,14 @@ A cache whose geometry is not a power of two pins the probe's
 ``//``/``%`` branch, which no preset reaches.  The generated source
 holds neither register names nor energies, so blocks of one shape
 share a code object; the last tests pin that.
+
+The fast path runs a block through the reference's own step until the
+block turns hot (``codegen_exec.HOT_BUDGET``).  The equivalence,
+type-soundness, error-path, step-budget and fuzz-sample tests therefore
+run twice (the ``hot_budget`` fixture): with a budget of 0, so every
+block is compiled at its first entry and the generated code is pinned
+against the reference, and at the default budget, where most blocks of
+a small module stay cold.
 """
 
 import ast
@@ -52,6 +60,28 @@ from repro.verify.ir_check import check_module
 from repro.workloads import all_workloads, get_workload
 
 WORKLOADS = all_workloads()
+
+
+@pytest.fixture(params=[0, None], ids=["all-hot", "tiered"])
+def hot_budget(request, monkeypatch):
+    """Run the test with every block compiled at its first entry, then
+    at the default hot budget."""
+    if request.param is not None:
+        monkeypatch.setattr(codegen_exec, "HOT_BUDGET", request.param)
+
+
+def _compile_spy(monkeypatch):
+    """Record ``(block name, steps charged so far)`` for every block
+    an ExecCompiledInterpreter compiles."""
+    compiled = []
+    compile_block = ExecCompiledInterpreter._compile
+
+    def spy(self, block):
+        compiled.append((block.name, self._steps_cell[0]))
+        return compile_block(self, block)
+
+    monkeypatch.setattr(ExecCompiledInterpreter, "_compile", spy)
+    return compiled
 
 
 def _compile(workload_name: str, machine_name: str = "itanium2",
@@ -138,6 +168,7 @@ def _assert_same_run(module, env=None, machine=None, functions=None):
     return None
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestEquivalenceAllWorkloads:
     @pytest.mark.parametrize("workload", [wl.name for wl in WORKLOADS])
     @pytest.mark.parametrize("compiler", ["icc_O3", "gcc_O3"])
@@ -172,6 +203,7 @@ class TestEquivalenceAllWorkloads:
         _assert_matches_reference(compiled.module, machine)
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestSelfLoopFusion:
     def test_fused_loops_detected(self):
         # mxm's innermost loops are bottom-test self-loops; the codegen
@@ -190,6 +222,7 @@ class TestSelfLoopFusion:
         )
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestStepBudgetParity:
     @pytest.mark.parametrize("max_steps", [10, 137, 1003, 50_000])
     def test_budget_error_and_steps_match(self, max_steps):
@@ -212,6 +245,94 @@ class TestStepBudgetParity:
         with pytest.raises(InterpError) as exec_err:
             execute(module, machine, max_steps=max_steps)
         assert str(exec_err.value) == str(ref_err.value)
+
+    @pytest.mark.parametrize("when", ["before", "at", "after"])
+    def test_budget_runs_out_around_a_loop_switch(self, when, monkeypatch):
+        """The budget runs out on the entry that would compile mxm's
+        first hot self-loop, on the superblock's first back-edge, or
+        three iterations into the superblock."""
+        compiled, machine = _compile("mxm")
+        module = compiled.module
+        spy = _compile_spy(monkeypatch)
+        ExecCompiledInterpreter(module, machine).run()
+        loop, switch = next(
+            (name, steps) for name, steps in spy
+            if name in _self_loops(module)
+        )
+        length = len(module.blocks[loop].instrs)
+        max_steps = {
+            "before": switch - 1, "at": switch, "after": switch + 3 * length,
+        }[when]
+        spy.clear()
+        fast = ExecCompiledInterpreter(module, machine, max_steps=max_steps)
+        with pytest.raises(InterpError) as fast_err:
+            fast.run()
+        assert (loop in dict(spy)) == (when != "before")
+        reference = LIRInterpreter(module, max_steps=max_steps)
+        with pytest.raises(InterpError) as ref_err:
+            reference.run()
+        assert str(fast_err.value) == str(ref_err.value)
+        assert fast.steps == reference.steps
+
+
+class TestTiers:
+    """At the default budget, a block runs through the reference's step
+    until it turns hot, and compiles then."""
+
+    def test_straight_line_block_entered_once_is_never_compiled(
+        self, monkeypatch
+    ):
+        compiled, machine = _compile("mxm")
+        module = compiled.module
+        spy = _compile_spy(monkeypatch)
+        interp = ExecCompiledInterpreter(module, machine)
+        interp.run()
+        once = {
+            name
+            for name, count in interp.metrics().block_executions.items()
+            if count == 1 and name not in _self_loops(module)
+        }
+        assert once and not once & {name for name, _ in spy}
+
+    def test_self_loop_turns_hot_mid_loop(self, monkeypatch):
+        """The first iteration runs cold, the back-edge turns the loop
+        hot, and the superblock runs the other 99: state, registers,
+        metrics, steps and per-block counts match the reference."""
+        module = _module(
+            {
+                "entry": [
+                    _movi("i", 0), _movi("n", 100), _movi("one", 1),
+                    _movi("x", 0.25), _spill_st("x", 3),
+                ],
+                "loop": [
+                    Instr("ld", dst="a", srcs=("i",), array="A"),
+                    _spill_ld("s", 3),
+                    _op("fadd", "s", "s", "a"),
+                    _spill_st("s", 3),
+                    Instr("st", srcs=("s", "i"), array="A", disp=1),
+                    _op("add", "i", "i", "one"),
+                    _op("lt", "c", "i", "n"),
+                    Instr("brt", srcs=("c",), label="loop"),
+                ],
+                "exit": [_spill_ld("y", 3)],
+            },
+            scalars=[("y", "y", "float")],
+            arrays={"A": ((101,), "float")},
+        )
+        env = {"A": np.linspace(0.0, 1.0, 101)}
+        machine = machine_by_name("itanium2")
+        spy = _compile_spy(monkeypatch)
+        fast = ExecCompiledInterpreter(module, machine, env=env)
+        state = fast.run()
+        assert spy == [("loop", 5 + 2 * 8)]  # at the loop's second entry
+        observer = _DynamicTimingObserver(module, machine)
+        reference = LIRInterpreter(module, env=env, observer=observer)
+        _assert_states_identical(state, reference.run())
+        _assert_metrics_identical(fast.metrics(), observer.metrics)
+        assert fast.metrics().block_executions["loop"] == 100
+        assert fast.steps == reference.steps
+        assert _typed_items(fast.regs) == _typed_items(reference.regs)
+        assert _typed_items(fast.spill) == _typed_items(reference.spill)
 
 
 class TestExecutedPrefix:
@@ -328,6 +449,7 @@ def _loop_body(source):
     return "\n".join(body)
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestTypeSpecializationSoundness:
     """Modules where an ``int()``/``float()`` coercion must survive
     because the operand's type is not proven.  Each op reads its
@@ -622,6 +744,7 @@ _ERROR_CASES = {
 }
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestErrorPathsMatchTheReference:
     @pytest.mark.parametrize("case", list(_ERROR_CASES))
     def test_same_exception_type_and_message(self, case):
@@ -640,6 +763,7 @@ _FUZZ_SAMPLE = [
 ]
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestFuzzSampleMatchesReference:
     @pytest.mark.parametrize(
         "profile,seed", _FUZZ_SAMPLE,
@@ -694,6 +818,7 @@ _ODD_CACHE_MACHINE = dataclasses.replace(
 )
 
 
+@pytest.mark.usefixtures("hot_budget")
 class TestNonPowerOfTwoCache:
     @pytest.mark.parametrize("compiler", ["gcc_O3", "icc_O3"])
     @pytest.mark.parametrize(
@@ -793,10 +918,20 @@ class TestOneCodeObjectPerShape:
         assert not _registers(module) & _registers(renamed)
         sources = _sources(module)
         assert _sources(renamed) == sources
+        # Every block compiles at its first entry; running the renamed
+        # module then compiles nothing new.
+        monkeypatch.setattr(codegen_exec, "HOT_BUDGET", 0)
         monkeypatch.setattr(codegen_exec, "_CODE_CACHE", {})
-        ExecCompiledInterpreter(module, machine)
-        ExecCompiledInterpreter(renamed, machine)
-        assert len(codegen_exec._CODE_CACHE) == len(set(sources.values()))
+        interp = ExecCompiledInterpreter(module, machine)
+        interp.run()
+        ran = interp.metrics().block_executions
+        assert len(codegen_exec._CODE_CACHE) == len(
+            {sources[name] for name in ran}
+        )
+        ExecCompiledInterpreter(renamed, machine).run()
+        assert len(codegen_exec._CODE_CACHE) == len(
+            {sources[name] for name in ran}
+        )
         # The names tuple carries the renaming into the register file.
         assert _assert_same_run(renamed) is None
         _assert_states_identical(
