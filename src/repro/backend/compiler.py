@@ -68,6 +68,17 @@ COMPILER_PRESETS: Dict[str, CompilerConfig] = {
 }
 
 
+def compiler_by_name(name: str) -> CompilerConfig:
+    """Look up a preset by name."""
+    try:
+        return COMPILER_PRESETS[name]
+    except KeyError:
+        raise ValueError(
+            f"unknown compiler preset {name!r}; choose from "
+            + ", ".join(sorted(COMPILER_PRESETS))
+        ) from None
+
+
 @dataclass
 class CompiledProgram:
     """Output of the final compiler, ready to execute."""
@@ -89,7 +100,7 @@ class FinalCompiler:
     def __init__(self, machine: MachineModel, config: CompilerConfig | str):
         self.machine = machine
         if isinstance(config, str):
-            config = COMPILER_PRESETS[config]
+            config = compiler_by_name(config)
         self.config = config
 
     def compile(self, program: Program | str) -> CompiledProgram:

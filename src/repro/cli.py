@@ -106,9 +106,14 @@ diagnostics), **130** on Ctrl-C and **143** on SIGTERM (both with a
 note that checkpointed partial results can be resumed via
 ``--resume``).
 
-Every user-facing operation is a thin rendering shell over
-:class:`repro.serve.session.Session` — the same request→response API
-the server dispatches to — so CLI and service behavior cannot drift.
+``transform``, ``advise``, ``bench``, ``trace`` and ``sweep`` are the
+operations ``slms serve`` serves: each builds the params a client would
+send (only the flags the user set) and passes them through
+:meth:`repro.serve.session.Session.validate` before any work, cache
+lookup or journal write, then renders what
+:class:`~repro.serve.session.Session` returns.  The CLI and the server
+therefore accept and refuse exactly the same inputs, with the same
+messages.
 """
 
 from __future__ import annotations
@@ -117,7 +122,75 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
+
+from repro.defaults import (
+    DEFAULT_COMPILER,
+    DEFAULT_MACHINE,
+    DEFAULT_SCHED_BUDGET,
+)
+
+#: The SLMS option flags, each declared once: request param -> (flag,
+#: argparse keywords).  A command takes the subset it names; a flag the
+#: user leaves unset stays out of the request, so ``SLMSOptions``
+#: supplies its default.
+_OPTION_FLAGS: Dict[str, tuple] = {
+    "force": ("--force", dict(
+        action="store_const", const=True,
+        help="bypass the §4 bad-case filter (§8's \"do it anyway\")",
+    )),
+    "enable_filter": ("--no-filter", dict(
+        action="store_const", const=False,
+        help="disable the §4 bad-case filter",
+    )),
+    "expansion": ("--expansion", dict(
+        metavar="MODE",
+        help="false-dependence removal: auto, mve, scalar or none",
+    )),
+    "reduction_lanes": ("--reduction-lanes", dict(
+        type=int, metavar="N",
+        help="split min/max reductions into N lanes (§5's max-loop MVE)",
+    )),
+    "allow_reassociation": ("--allow-reassociation", dict(
+        action="store_const", const=True,
+        help="permit lane-splitting sum/product reductions "
+        "(reassociates floating point)",
+    )),
+    "scheduler": ("--scheduler", dict(
+        metavar="NAME",
+        help="scheduling backend: heuristic (the paper's placement) or "
+        "exact (branch-and-bound; see docs/SCHEDULERS.md)",
+    )),
+    "sched_budget": ("--sched-budget", dict(
+        type=int, metavar="N",
+        help="exact-backend placement-attempt budget "
+        f"(default {DEFAULT_SCHED_BUDGET})",
+    )),
+    "machine": ("--machine", dict(
+        metavar="NAME",
+        help="machine preset for the informational resMII floor "
+        "(default: none)",
+    )),
+}
+
+
+def _add_option_flags(parser: argparse.ArgumentParser, *keys: str) -> None:
+    for key in keys:
+        flag, kwargs = _OPTION_FLAGS[key]
+        parser.add_argument(flag, dest=key, **kwargs)
+
+
+def _request(args: argparse.Namespace, *keys: str,
+             **given: Any) -> Dict[str, Any]:
+    """The params a client would send: each of ``keys`` the user set
+    (an unset flag reads None), plus ``given``."""
+    params = {
+        key: getattr(args, key)
+        for key in keys
+        if getattr(args, key, None) is not None
+    }
+    params.update(given)
+    return params
 
 
 def _read_source(path: str) -> str:
@@ -125,55 +198,57 @@ def _read_source(path: str) -> str:
         return handle.read()
 
 
-def _cmd_transform(args: argparse.Namespace) -> int:
-    from repro import to_source
-    from repro.serve.session import Session, options_from_params
+def _write_out(path: str, text: str, what: str) -> None:
+    """Write one output file and say so on stderr."""
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(text)
+    print(f"# {what} written to {path}", file=sys.stderr)
 
-    source = _read_source(args.file)
-    options = options_from_params(
-        {
-            "enable_filter": not args.no_filter,
-            "force": args.force,
-            "expansion": args.expansion,
-            "reduction_lanes": args.reduction_lanes,
-            "allow_reassociation": args.allow_reassociation,
-            "scheduler": args.scheduler,
-            "sched_budget": args.sched_budget,
-            "machine": args.machine,
-        }
+
+def _report_status(loop: Dict[str, Any]) -> str:
+    """One ``transform --report`` line, from a loop of the ``compile``
+    payload (:func:`repro.serve.session.loop_report_dict`)."""
+    if not loop["applied"]:
+        return f"declined: {loop['reason']}"
+    status = (
+        f"applied II={loop['ii']} stages={loop['stages']} "
+        f"expansion={loop['expansion']}"
     )
-    outcome = Session().compile_outcome(source, options)
-    style = "paper" if args.paper else "c"
-    print(to_source(outcome.program, style=style))
+    if "heuristic_ii" in loop:  # a backend other than the heuristic
+        status += (
+            f" scheduler={loop['scheduler']}"
+            f" heuristic_ii={loop['heuristic_ii']}"
+            f" proven={loop['sched_proven']}"
+        )
+    if "res_mii" in loop:
+        status += f" res_mii={loop['res_mii']}"
+    return status
+
+
+def _cmd_transform(args: argparse.Namespace) -> int:
+    from repro.serve.session import Session
+
+    params = _request(
+        args, *_OPTION_FLAGS, "style", source=_read_source(args.file)
+    )
+    payload = Session().handle("compile", params)
+    print(payload["source"])
     if args.report:
         print("/*", file=sys.stderr)
-        for idx, report in enumerate(outcome.loops):
-            status = (
-                f"applied II={report.ii} stages={report.stages} "
-                f"expansion={report.expansion}"
-                if report.applied
-                else f"declined: {report.reason}"
-            )
-            if report.applied and report.scheduler != "heuristic":
-                status += (
-                    f" scheduler={report.scheduler}"
-                    f" heuristic_ii={report.heuristic_ii}"
-                    f" proven={report.sched_proven}"
-                )
-            if report.applied and report.res_mii is not None:
-                status += f" res_mii={report.res_mii}"
-            print(f" loop {idx}: {status}", file=sys.stderr)
+        for idx, loop in enumerate(payload["loops"]):
+            print(f" loop {idx}: {_report_status(loop)}", file=sys.stderr)
         print("*/", file=sys.stderr)
     return 0
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    from repro import SLMSOptions, slms
+    from repro import slms
     from repro.core.explain import ddg_to_dot, explain
     from repro.lang.parser import parse_program
+    from repro.serve.session import options_from_params
 
-    source = _read_source(args.file)
-    program = parse_program(source)
+    options = options_from_params(_request(args, *_OPTION_FLAGS))
+    program = parse_program(_read_source(args.file))
 
     if args.check:
         from repro.verify import check_program, has_errors
@@ -185,12 +260,6 @@ def _cmd_explain(args: argparse.Namespace) -> int:
         if has_errors(diags):
             print("(semantic errors; the filter verdicts below may be moot)")
         print()
-    options = SLMSOptions(
-        enable_filter=not args.no_filter,
-        force=args.force,
-        reduction_lanes=args.reduction_lanes,
-        allow_reassociation=args.allow_reassociation,
-    )
     outcome = slms(program, options)
     for idx, report in enumerate(outcome.loops):
         if idx:
@@ -211,16 +280,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     findings alongside.  Exit status 1 when any error (or, under
     ``--Werror``, any warning) is found.
     """
-    from repro import SLMSOptions, slms
+    from repro import slms
     from repro.lang.parser import parse_program
+    from repro.serve.session import options_from_params
     from repro.verify import check_program, has_errors, sort_diagnostics
     from repro.verify.diagnostics import json_payload
 
-    source = _read_source(args.file)
-    program = parse_program(source)
+    options = options_from_params(
+        _request(args, *_OPTION_FLAGS), verify=True
+    )
+    program = parse_program(_read_source(args.file))
     diags = list(check_program(program))
-
-    options = SLMSOptions(enable_filter=not args.no_filter, verify=True)
     outcome = slms(program, options)
     loop_reports = []
     for idx, report in enumerate(outcome.loops):
@@ -308,36 +378,21 @@ def _cmd_advise(args: argparse.Namespace) -> int:
     """SLMS applicability report: the driver's verdict per loop, its
     recMII estimate, and actionable suggestions."""
     from repro.core.advisor import render_advice
-    from repro.serve.session import Session, options_from_params
+    from repro.serve.session import Session
 
-    source = _read_source(args.file)
-    options = options_from_params(
-        {
-            "enable_filter": not args.no_filter,
-            "force": args.force,
-            "scheduler": args.scheduler,
-            "machine": args.machine,
-        }
-    )
+    params = _request(args, *_OPTION_FLAGS, source=_read_source(args.file))
     with _Observed(args):
-        advices = Session().advise_objects(source, options)
+        payload = Session().handle("advise", params)
 
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "schema": "slms-advise/1",
-                    "file": args.file,
-                    "loops": [a.to_dict() for a in advices],
-                },
-                indent=2,
-            )
-        )
+        out = {"schema": payload["schema"], "file": args.file,
+               "loops": payload["loops"]}
+        print(json.dumps(out, indent=2))
         return 0
-    if not advices:
+    if not payload["loops"]:
         print(f"{args.file}: no innermost canonical loop candidates")
         return 0
-    for idx, advice in enumerate(advices):
+    for idx, advice in enumerate(payload["loops"]):
         if idx:
             print()
         print(f"===== loop {idx} =====")
@@ -367,15 +422,35 @@ def _ledger_append(entry) -> None:
         pass
 
 
-def _result_digest(result) -> str:
-    """Content digest of one experiment result, timing excluded (two
-    identical runs differ only in wall clock, never in digest)."""
-    from repro.obs import digest_of
+def _ledger_experiment(kind: str, res, **config: Any) -> None:
+    """Record one ``bench`` or ``trace`` experiment in the ledger."""
+    from repro.obs import digest_of, make_entry
 
-    payload = result.to_dict()
+    # Timing stays out of the digest: two identical runs differ only
+    # in wall clock.
+    payload = res.to_dict()
     payload.pop("phase_times", None)
     payload.pop("cached_phase_times", None)
-    return digest_of(payload)
+    _ledger_append(
+        make_entry(
+            kind,
+            f"{res.workload}@{res.machine}/{res.compiler}",
+            config={
+                "workload": res.workload,
+                "machine": res.machine,
+                "compiler": res.compiler,
+                **config,
+            },
+            result_digest=digest_of(payload),
+            experiments=1,
+            workers=1,
+            wall_s=res.phase_times.get(
+                "total", sum(res.phase_times.values())
+            ),
+            phase_times=res.phase_times,
+            cached_phase_times=res.cached_phase_times,
+        )
+    )
 
 
 def _print_tier_rates(stats, file=None) -> None:
@@ -431,8 +506,7 @@ class _Observed:
             render_trace,
             set_metrics,
             set_tracer,
-            write_chrome_trace,
-            write_json_trace,
+            to_chrome_trace,
         )
 
         tracer = get_tracer()
@@ -444,13 +518,12 @@ class _Observed:
         if self.tracing:
             trace = tracer.to_dict()
             if self._trace_out:
-                write_json_trace(trace, self._trace_out)
-                print(f"# trace written to {self._trace_out}",
-                      file=sys.stderr)
+                _write_out(self._trace_out,
+                           json.dumps(trace, indent=1) + "\n", "trace")
             if self._chrome_out:
-                write_chrome_trace(trace, self._chrome_out)
-                print(f"# chrome trace written to {self._chrome_out}",
-                      file=sys.stderr)
+                _write_out(self._chrome_out,
+                           json.dumps(to_chrome_trace(trace), indent=1)
+                           + "\n", "chrome trace")
             if self._show_trace:
                 print(render_trace(trace), file=sys.stderr)
         if self._show_metrics:
@@ -492,10 +565,11 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.serve.session import Session
 
+    params = _request(args, "workload", "machine", "compiler")
+    session = Session()
+    session.validate("bench", params)
     with _Observed(args):
-        res = Session().bench_result(
-            args.workload, args.machine, args.compiler
-        )
+        res = session.bench_result(params)
     print(f"workload:  {res.workload} ({res.suite})")
     print(f"machine:   {res.machine}   compiler: {res.compiler}")
     print(f"SLMS:      {'applied, II=' + str(res.ii) if res.slms_applied else 'declined (' + res.slms_reason + ')'}")
@@ -506,57 +580,37 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     print(f"machine MS: before={res.ims_base} after={res.ims_slms}")
     if args.profile:
         _print_phases(res.phase_times)
-
-    from repro.obs import make_entry
-
-    _ledger_append(
-        make_entry(
-            "bench",
-            f"{res.workload}@{res.machine}/{res.compiler}",
-            config={
-                "workload": res.workload,
-                "machine": res.machine,
-                "compiler": res.compiler,
-            },
-            result_digest=_result_digest(res),
-            experiments=1,
-            workers=1,
-            wall_s=res.phase_times.get(
-                "total", sum(res.phase_times.values())
-            ),
-            phase_times=res.phase_times,
-            cached_phase_times=res.cached_phase_times,
-        )
-    )
+    _ledger_experiment("bench", res)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.sweep import bench_record
-    from repro.serve.session import Session, SessionConfig
-    from repro.workloads import by_suite
+    from repro.serve.session import Session, SessionConfig, sweep_workloads
 
-    workloads = list(args.workloads)
-    for suite in args.suite or []:
-        workloads.extend(wl.name for wl in by_suite(suite))
-    pairs = None
+    params = _request(args, "suites", "workers")
+    if args.workloads:
+        params["workloads"] = args.workloads
     if args.pairs:
-        pairs = []
+        params["pairs"] = []
         for spec in args.pairs:
             machine, _, compiler = spec.partition("/")
             if not compiler:
                 raise ValueError(
                     f"bad pair {spec!r}; expected MACHINE/COMPILER"
                 )
-            pairs.append((machine, compiler))
+            params["pairs"].append([machine, compiler])
 
+    # Engine workers default to one per CPU here, not the server's 1.
     session = Session(
-        SessionConfig(use_cache=not args.no_cache, workers=args.workers)
+        SessionConfig(use_cache=not args.no_cache, workers=None)
     )
+    session.validate("sweep", params)
+    workloads = [wl.name for wl in sweep_workloads(params)]
     journal_path = args.resume or args.journal
     with _Observed(args):
         sweep = session.sweep_result(
-            {"workloads": workloads, "pairs": pairs},
+            params,
             task_timeout_s=args.timeout,
             journal_path=journal_path,
             resume=bool(args.resume),
@@ -635,10 +689,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 "sweep:" + (",".join(workloads) if workloads else "all"),
                 stats.to_dict(),
                 config={
-                    "workloads": list(workloads) or "all",
-                    "pairs": (
-                        [f"{m}/{c}" for m, c in pairs] if pairs else "default"
-                    ),
+                    "workloads": workloads or "all",
+                    "pairs": args.pairs or "default",
                 },
                 result_digest=digest,
                 latency=folded.get("latency"),
@@ -672,44 +724,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         write_chrome_trace,
         write_json_trace,
     )
-    from repro.serve.session import Session
+    from repro.serve.session import Session, trace_payload
 
-    # Deliberately bypasses the engine cache: a trace of a cache lookup
-    # would show none of the decisions the user is here to see.
-    res, trace, metrics = Session().trace_result(
-        args.workload, args.machine, args.compiler,
-        verify=not args.no_verify,
-    )
+    params = _request(args, "workload", "machine", "compiler", "verify")
+    session = Session()
+    session.validate("trace", params)
+    res, trace, metrics = session.trace_result(params)
     if args.trace_out:
         write_json_trace(trace, args.trace_out)
     if args.chrome_out:
         write_chrome_trace(trace, args.chrome_out)
-
-    from repro.obs import make_entry
-
-    _ledger_append(
-        make_entry(
-            "trace",
-            f"{res.workload}@{res.machine}/{res.compiler}",
-            config={
-                "workload": res.workload,
-                "machine": res.machine,
-                "compiler": res.compiler,
-                "verify": not args.no_verify,
-            },
-            result_digest=_result_digest(res),
-            experiments=1,
-            workers=1,
-            wall_s=res.phase_times.get(
-                "total", sum(res.phase_times.values())
-            ),
-            phase_times=res.phase_times,
-            cached_phase_times=res.cached_phase_times,
-        )
+    _ledger_experiment(
+        "trace", res, verify=params.get("verify", session.config.verify)
     )
     if args.json:
-        from repro.serve.session import trace_payload
-
         print(json.dumps(trace_payload(res, trace, metrics), indent=1))
         return 0
     print(f"== trace: {res.workload} on {res.machine}/{res.compiler} ==")
@@ -794,9 +822,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     )
 
     if args.json:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json())
-        print(f"# report written to {args.json}", file=sys.stderr)
+        _write_out(args.json, report.to_json(), "report")
 
     print(f"fuzz: {report.summary_line()}")
     if report.decline_reasons:
@@ -833,9 +859,7 @@ def _cmd_sched(args: argparse.Namespace) -> int:
         budget=args.budget,
     )
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(report.to_json())
-        print(f"# report written to {args.json}", file=sys.stderr)
+        _write_out(args.json, report.to_json(), "report")
     print(render_compare(report))
     return 0 if report.clean else 1
 
@@ -895,14 +919,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     journal = summarize_journal(args.journal) if args.journal else None
     report = build_report(entries, profile=profile, journal=journal)
     if args.html:
-        with open(args.html, "w", encoding="utf-8") as handle:
-            handle.write(render_report_html(report) + "\n")
-        print(f"# report written to {args.html}", file=sys.stderr)
+        _write_out(args.html, render_report_html(report) + "\n", "report")
     if args.json_out:
-        with open(args.json_out, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=1)
-            handle.write("\n")
-        print(f"# report JSON written to {args.json_out}", file=sys.stderr)
+        _write_out(args.json_out, json.dumps(report, indent=1) + "\n",
+                   "report JSON")
     if not args.html or args.text:
         print(render_report_text(report))
     return 0
@@ -999,9 +1019,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
         record.pop("pr")
     payload = json.dumps(record, indent=1)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        print(f"# bench entry written to {args.out}", file=sys.stderr)
+        _write_out(args.out, payload + "\n", "bench entry")
     else:
         print(payload)
     return 0
@@ -1127,38 +1145,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_transform = sub.add_parser("transform", help="SLMS a source file")
     p_transform.add_argument("file")
-    p_transform.add_argument("--paper", action="store_true",
+    p_transform.add_argument("--paper", dest="style", action="store_const",
+                             const="paper",
                              help="print kernels in the paper's || notation")
-    p_transform.add_argument("--force", action="store_true",
-                             help="bypass the §4 bad-case filter")
-    p_transform.add_argument("--no-filter", action="store_true")
-    p_transform.add_argument(
-        "--expansion", choices=["auto", "mve", "scalar", "none"],
-        default="auto",
-    )
-    p_transform.add_argument(
-        "--reduction-lanes", type=int, default=0, metavar="N",
-        help="split min/max reductions into N lanes (§5's max-loop MVE)",
-    )
-    p_transform.add_argument(
-        "--allow-reassociation", action="store_true",
-        help="permit lane-splitting sum/product reductions "
-        "(reassociates floating point)",
-    )
-    p_transform.add_argument(
-        "--scheduler", default="heuristic", metavar="NAME",
-        help="scheduling backend: heuristic (paper, default) or exact "
-        "(branch-and-bound; see docs/SCHEDULERS.md)",
-    )
-    p_transform.add_argument(
-        "--sched-budget", type=int, default=50_000, metavar="N",
-        help="exact-backend placement-attempt budget (default 50000)",
-    )
-    p_transform.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine preset for the informational resMII floor "
-        "(default: omit)",
-    )
+    _add_option_flags(p_transform, *_OPTION_FLAGS)
     p_transform.add_argument("--report", action="store_true",
                              help="print per-loop reports to stderr")
     p_transform.set_defaults(func=_cmd_transform)
@@ -1167,10 +1157,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         "explain", help="per-loop SLC diagnostics for a source file"
     )
     p_explain.add_argument("file")
-    p_explain.add_argument("--force", action="store_true")
-    p_explain.add_argument("--no-filter", action="store_true")
-    p_explain.add_argument("--reduction-lanes", type=int, default=0)
-    p_explain.add_argument("--allow-reassociation", action="store_true")
+    _add_option_flags(p_explain, "force", "enable_filter",
+                      "reduction_lanes", "allow_reassociation")
     p_explain.add_argument("--dot", action="store_true",
                            help="also print the dependence graph as DOT")
     p_explain.add_argument("--check", action="store_true",
@@ -1187,8 +1175,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                          help="emit diagnostics as JSON")
     p_check.add_argument("--Werror", dest="werror", action="store_true",
                          help="treat warnings as errors")
-    p_check.add_argument("--no-filter", action="store_true",
-                         help="attempt SLMS even on filtered-out loops")
+    _add_option_flags(p_check, "enable_filter")
     p_check.set_defaults(func=_cmd_check)
 
     p_lint = sub.add_parser(
@@ -1196,7 +1183,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "stores, use-before-init, register pressure"
     )
     p_lint.add_argument("file")
-    p_lint.add_argument("--machine", default="itanium2",
+    p_lint.add_argument("--machine", default=DEFAULT_MACHINE,
                         help="machine model for the register-pressure "
                         "check ('none' to skip it)")
     p_lint.add_argument("--json", action="store_true",
@@ -1214,20 +1201,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "loop, recMII estimate, and suggestions"
     )
     p_advise.add_argument("file")
-    p_advise.add_argument("--force", action="store_true",
-                          help="advise with the §4 filter bypassed")
-    p_advise.add_argument("--no-filter", action="store_true")
+    _add_option_flags(p_advise, "force", "enable_filter", "scheduler",
+                      "machine")
     p_advise.add_argument("--json", action="store_true",
                           help="emit the per-loop advice as JSON")
-    p_advise.add_argument(
-        "--scheduler", default="heuristic", metavar="NAME",
-        help="advise with this scheduling backend "
-        "(heuristic or exact; docs/SCHEDULERS.md)",
-    )
-    p_advise.add_argument(
-        "--machine", default=None, metavar="NAME",
-        help="machine preset for the informational resMII floor",
-    )
     _add_obs_flags(p_advise)
     p_advise.set_defaults(func=_cmd_advise)
 
@@ -1243,8 +1220,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     p_bench = sub.add_parser("bench", help="run one workload comparison")
     p_bench.add_argument("workload")
-    p_bench.add_argument("--machine", default="itanium2")
-    p_bench.add_argument("--compiler", default="gcc_O3")
+    p_bench.add_argument("--machine")
+    p_bench.add_argument("--compiler")
     p_bench.add_argument("--profile", action="store_true",
                          help="print per-phase wall-clock times")
     _add_obs_flags(p_bench)
@@ -1255,7 +1232,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_sweep.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                          help="workload names (default: the whole corpus)")
-    p_sweep.add_argument("--suite", action="append", metavar="SUITE",
+    p_sweep.add_argument("--suite", dest="suites", action="append",
+                         metavar="SUITE",
                          help="add every workload of a suite "
                          "(livermore/linpack/nas/stone; repeatable)")
     p_sweep.add_argument("--pairs", nargs="+", metavar="MACHINE/COMPILER",
@@ -1294,9 +1272,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         "trace", help="traced single-workload run with the decision log"
     )
     p_trace.add_argument("workload")
-    p_trace.add_argument("--machine", default="itanium2")
-    p_trace.add_argument("--compiler", default="gcc_O3")
-    p_trace.add_argument("--no-verify", action="store_true",
+    p_trace.add_argument("--machine")
+    p_trace.add_argument("--compiler")
+    p_trace.add_argument("--no-verify", dest="verify",
+                         action="store_const", const=False,
                          help="skip the interpreter oracle (faster)")
     p_trace.add_argument("--trace-out", metavar="PATH",
                          help="write the JSON trace")
@@ -1323,8 +1302,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_fuzz.add_argument("--workers", type=int, default=1,
                         help="parallel case evaluation (report is "
                         "worker-count-invariant)")
-    p_fuzz.add_argument("--machine", default="itanium2")
-    p_fuzz.add_argument("--compiler", default="gcc_O3")
+    p_fuzz.add_argument("--machine", default=DEFAULT_MACHINE)
+    p_fuzz.add_argument("--compiler", default=DEFAULT_COMPILER)
     p_fuzz.add_argument("--save-failures", metavar="DIR",
                         help="write failing cases (reduced when possible) "
                         "into DIR")
@@ -1363,13 +1342,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     s_compare.add_argument("workloads", nargs="*", metavar="WORKLOAD",
                            help="workload names (default: all 47)")
-    s_compare.add_argument("--machine", default="itanium2",
+    s_compare.add_argument("--machine", default=DEFAULT_MACHINE,
                            help="machine preset for the resMII floor "
-                           "(default itanium2)")
-    s_compare.add_argument("--budget", type=int, default=50_000,
-                           metavar="N",
+                           "(default %(default)s)")
+    s_compare.add_argument("--budget", type=int,
+                           default=DEFAULT_SCHED_BUDGET, metavar="N",
                            help="exact-backend placement-attempt budget "
-                           "per loop (default 50000)")
+                           "per loop (default %(default)s)")
     s_compare.add_argument("--json", metavar="PATH",
                            help="write the slms-sched/1 report to PATH")
     s_compare.set_defaults(func=_cmd_sched)
@@ -1394,9 +1373,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                          metavar="N",
                          help="worker crashes before a request key is "
                          "quarantined (default 2)")
-    p_serve.add_argument("--machine", default="itanium2",
+    p_serve.add_argument("--machine", default=DEFAULT_MACHINE,
                          help="session default machine")
-    p_serve.add_argument("--compiler", default="gcc_O3",
+    p_serve.add_argument("--compiler", default=DEFAULT_COMPILER,
                          help="session default compiler preset")
     p_serve.add_argument("--no-cache", action="store_true",
                          help="bypass the experiment result cache")

@@ -107,8 +107,8 @@ _SUGGESTIONS = [
     ),
     (
         "no valid II after maximum decompositions",
-        "raise --max-decompositions, or break the recurrence by "
-        "restructuring the dependent statements",
+        "break the recurrence by restructuring the dependent statements "
+        "(library callers can also raise SLMSOptions.max_decompositions)",
     ),
     (
         "no MI can be decomposed",
@@ -197,48 +197,53 @@ def advise_program(
     return advices
 
 
-def render_advice(advice: Advice) -> str:
-    """Human-readable multi-line report for one loop."""
+def render_advice(advice: Dict[str, object]) -> str:
+    """Human-readable multi-line report for one loop's advice, in its
+    JSON form (:meth:`Advice.to_dict`, a loop of the ``advise``
+    payload)."""
     lines: List[str] = []
-    where = f"line {advice.line}" if advice.line else "loop"
-    if advice.applies:
-        bits = [f"II={advice.ii}", f"stages={advice.stages}",
-                f"{advice.n_mis} MIs", f"expansion={advice.expansion}"]
-        if advice.unroll > 1:
-            bits.append(f"unroll={advice.unroll}")
-        if advice.decompositions:
-            bits.append(f"decompositions={advice.decompositions}")
+    where = f"line {advice['line']}" if advice["line"] else "loop"
+    applies = advice["verdict"] == "apply"
+    if applies:
+        bits = [f"II={advice['ii']}", f"stages={advice['stages']}",
+                f"{advice['n_mis']} MIs", f"expansion={advice['expansion']}"]
+        if advice["unroll"] > 1:
+            bits.append(f"unroll={advice['unroll']}")
+        if advice["decompositions"]:
+            bits.append(f"decompositions={advice['decompositions']}")
         lines.append(
             f"{where}: SLMS predicted to APPLY ({', '.join(bits)})"
         )
     else:
         lines.append(
-            f"{where}: SLMS predicted to DECLINE — {advice.reason}"
+            f"{where}: SLMS predicted to DECLINE — {advice['reason']}"
         )
-    if advice.rec_mii is not None:
+    if advice["rec_mii"] is not None:
         lines.append(
-            f"  recMII: {advice.rec_mii} (§3.6 estimate from §3.5 "
+            f"  recMII: {advice['rec_mii']} (§3.6 estimate from §3.5 "
             "delays; the fixed placement lets anti/output dependences "
             "share a row, so the achieved II can be lower)"
         )
-    if advice.res_mii is not None:
+    if advice["res_mii"] is not None:
         lines.append(
-            f"  resMII floor: {advice.res_mii} "
+            f"  resMII floor: {advice['res_mii']} "
             "(machine FU mix; informational — SLMS is resource-blind)"
         )
-    if advice.scheduler != "heuristic" and advice.applies:
+    if advice["scheduler"] != "heuristic" and applies:
         status = (
-            "proven optimal" if advice.sched_proven else "budget-limited"
+            "proven optimal" if advice["sched_proven"] else "budget-limited"
         )
         lines.append(
-            f"  scheduler: {advice.scheduler} "
-            f"(paper placement II {advice.heuristic_ii} -> {advice.ii}, "
-            f"{status})"
+            f"  scheduler: {advice['scheduler']} "
+            f"(paper placement II {advice['heuristic_ii']} -> "
+            f"{advice['ii']}, {status})"
         )
-    if advice.trip_count is not None:
-        lines.append(f"  trip count: {advice.trip_count}")
-    if advice.memory_ref_ratio is not None:
-        lines.append(f"  memory-ref ratio (§4): {advice.memory_ref_ratio}")
-    for hint in advice.suggestions:
+    if advice["trip_count"] is not None:
+        lines.append(f"  trip count: {advice['trip_count']}")
+    if advice["memory_ref_ratio"] is not None:
+        lines.append(
+            f"  memory-ref ratio (§4): {advice['memory_ref_ratio']}"
+        )
+    for hint in advice["suggestions"]:
         lines.append(f"  suggestion: {hint}")
     return "\n".join(lines)

@@ -23,6 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.pipeline import slms
 from repro.core.slms import SLMSOptions, SLMSResult
+from repro.defaults import DEFAULT_MACHINE, DEFAULT_SCHED_BUDGET
 from repro.workloads.base import Workload
 from repro.workloads.corpus import all_workloads, get_workload
 
@@ -155,7 +156,7 @@ def _options(scheduler: str, machine: str, budget: int) -> SLMSOptions:
 
 
 def compare_workload(
-    workload: Workload, machine: str = "itanium2", budget: int = 50_000
+    workload: Workload, machine: str, budget: int
 ) -> Tuple[List[LoopComparison], float]:
     """Compare both backends on one workload.
 
@@ -204,8 +205,8 @@ def _row(
 
 def compare_schedulers(
     workloads: Optional[Sequence[str]] = None,
-    machine: str = "itanium2",
-    budget: int = 50_000,
+    machine: str = DEFAULT_MACHINE,
+    budget: int = DEFAULT_SCHED_BUDGET,
 ) -> CompareReport:
     """Run the heuristic-vs-exact comparison over the corpus.
 

@@ -37,6 +37,7 @@ from typing import List, Optional, Tuple
 from repro.analysis.ddg import DependenceGraph
 from repro.core.mii import EDGE_NEED, longest_paths
 from repro.core.schedulers import SourceSchedule
+from repro.defaults import DEFAULT_SCHED_BUDGET
 
 
 class _BudgetExhausted(Exception):
@@ -146,7 +147,7 @@ def refine(
     graph: DependenceGraph,
     heuristic_ii: int,
     min_ii: int = 1,
-    budget_nodes: int = 50_000,
+    budget_nodes: int = DEFAULT_SCHED_BUDGET,
 ) -> SourceSchedule:
     """Search for a placement below the paper's II, ``heuristic_ii``.
 

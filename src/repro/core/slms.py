@@ -40,9 +40,18 @@ from repro.core.schedulers import (
 from repro.core.names import NamePool
 from repro.core.scalar_expansion import apply_scalar_expansion
 from repro.core.schedule import ShortTripCount, build_modulo_schedule
+from repro.defaults import DEFAULT_SCHED_BUDGET
 from repro.lang.ast_nodes import Break, Continue, Decl, For, Stmt, While
 from repro.lang.visitors import walk
 from repro.obs import get_tracer
+
+EXPANSIONS = ("auto", "mve", "scalar", "none")
+
+#: Upper bound on ``reduction_lanes``.  The lane split's cost grows
+#: steeply with the lane count (about 2 s for 256 lanes and 36 s for
+#: 1024 on a 100-iteration float sum, on a 2-vCPU host), and from 16
+#: lanes upward the split is tried and then dropped on such a loop.
+MAX_REDUCTION_LANES = 64
 
 
 @dataclass
@@ -71,7 +80,8 @@ class SLMSOptions:
     max_unroll: int = 8
     force: bool = False
     # §5's max-loop lane splitting: rotate a reduction variable through
-    # N independent lanes and merge after the loop (0 disables).
+    # N independent lanes and merge after the loop (0 disables; at
+    # most MAX_REDUCTION_LANES).
     # min/max merges are bit-exact; sum/product lanes reassociate
     # floating point and additionally require allow_reassociation.
     reduction_lanes: int = 0
@@ -89,15 +99,23 @@ class SLMSOptions:
     # paper's fixed placement; "exact" proves placement optimality by
     # branch-and-bound within sched_budget placement attempts.
     scheduler: str = "heuristic"
-    sched_budget: int = 50_000
+    sched_budget: int = DEFAULT_SCHED_BUDGET
     # Machine preset name for the source-level resMII report (None
     # skips it — the paper's scheduler is resource-blind, §7, so the
     # floor is informational and never gates feasibility).
     machine: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.expansion not in ("auto", "mve", "scalar", "none"):
-            raise ValueError(f"unknown expansion mode {self.expansion!r}")
+        if self.expansion not in EXPANSIONS:
+            raise ValueError(
+                f"unknown expansion mode {self.expansion!r}; choose from "
+                + ", ".join(EXPANSIONS)
+            )
+        if not 0 <= self.reduction_lanes <= MAX_REDUCTION_LANES:
+            raise ValueError(
+                f"reduction_lanes must be from 0 to {MAX_REDUCTION_LANES}, "
+                f"got {self.reduction_lanes}"
+            )
         if self.resource_limits is not None:
             loads, arith = self.resource_limits
             if loads < 1 or arith < 1:

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.core.pipeline import ProgramSLMSResult, slms
 from repro.core.slms import SLMSOptions
+from repro.defaults import DEFAULT_COMPILER, DEFAULT_MACHINE
 from repro.fuzz.generator import FuzzCase
 from repro.lang.ast_nodes import For, Program, Stmt, While
 from repro.lang.parser import parse_program
@@ -87,25 +88,33 @@ _OOB_TRAP = re.compile(r"index -?\d+ out of bounds .* of '(\w+)'")
 # Fixed budgets of every oracle evaluation.  They shape each verdict,
 # so changing one changes what a recorded seed reproduces: the number
 # of randomized initial stores per case, the step budget of every
-# reference-interpreter and LIR run, the metamorphic unroll factor,
-# and the exact scheduler's search budget (layer 5).
+# reference-interpreter and LIR run and the metamorphic unroll factor.
+# The exact scheduler (layer 5) searches within SLMSOptions' default
+# budget, which shapes its verdicts the same way.
 _N_ENVS = 2
 _MAX_STEPS = 2_000_000
 _UNROLL_FACTOR = 2
-_SCHED_BUDGET = 50_000
 
 
 @dataclass(frozen=True)
 class OracleConfig:
     """Knobs for one oracle evaluation (part of the determinism key)."""
 
-    machine: str = "itanium2"
-    compiler: str = "gcc_O3"
+    machine: str = DEFAULT_MACHINE
+    compiler: str = DEFAULT_COMPILER
     backend: bool = True
     metamorphic: bool = True
     # Differential scheduler oracle (layer 5): re-run SLMS with the
     # exact branch-and-bound backend and compare against the heuristic.
     scheduler_oracle: bool = False
+
+    def __post_init__(self) -> None:
+        from repro.backend.compiler import compiler_by_name
+        from repro.machines.presets import machine_by_name
+
+        # Unknown names would otherwise fail every case in its worker.
+        machine_by_name(self.machine)
+        compiler_by_name(self.compiler)
 
     def to_dict(self) -> Dict[str, Any]:
         return asdict(self)
@@ -478,11 +487,7 @@ def _scheduler_check(
     try:
         exact = slms(
             program.clone(),
-            SLMSOptions(
-                verify=True,
-                scheduler="exact",
-                sched_budget=_SCHED_BUDGET,
-            ),
+            SLMSOptions(verify=True, scheduler="exact"),
         )
     except Exception as exc:
         return f"exact slms raised {type(exc).__name__}: {exc}"

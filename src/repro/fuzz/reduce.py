@@ -13,8 +13,10 @@ The search is the classic ddmin fixpoint — keep applying the cheapest
 rewrite that preserves the failure until nothing applies — and is
 deterministic: candidate order is structural, never randomized.
 
-Reduced counterexamples are written into ``tests/fuzz/corpus/`` where
-``tests/fuzz/test_corpus_replay.py`` replays them on every pytest run,
+``slms fuzz --save-failures DIR`` writes reduced counterexamples as
+corpus files (:func:`write_corpus_entry`, read back by
+:func:`load_corpus`).  Moved into ``tests/fuzz/corpus/``, they are
+replayed by ``tests/fuzz/test_corpus_replay.py`` on every pytest run,
 so every divergence the fuzzer ever finds becomes a permanent
 regression test.
 """
@@ -273,9 +275,6 @@ def _shrink_ints(program: Program, red: _Reducer) -> Optional[Program]:
 # corpus persistence
 
 
-CORPUS_DIR = Path(__file__).resolve().parents[3] / "tests" / "fuzz" / "corpus"
-
-
 def corpus_filename(
     failure_class: str, seed: int, profile: str
 ) -> str:
@@ -283,31 +282,28 @@ def corpus_filename(
     return f"{slug}_{profile}_{seed}.c"
 
 
-def write_corpus_entry(
-    result: ReductionResult,
-    case: FuzzCase,
-    directory: Optional[Path] = None,
-    note: str = "",
-) -> Path:
-    """Write a reduced counterexample as a replayable corpus file.
+def write_corpus_entry(failure, directory: Path) -> Path:
+    """Write one fuzz failure (``repro.fuzz.session.FuzzFailure``),
+    reduced if available, as a replayable corpus file.
 
-    The header comment records provenance; the replay harness strips it
-    and feeds the body back through the oracle.
+    The header comment records the provenance :func:`load_corpus` reads
+    back, and the failure's notes; the replay harness strips it and
+    feeds the body back through the oracle.
     """
-    directory = Path(directory) if directory else CORPUS_DIR
-    directory.mkdir(parents=True, exist_ok=True)
-    path = directory / corpus_filename(
-        result.failure_class, case.seed, case.profile
-    )
     header = [
-        f"/* fuzz counterexample: {result.failure_class}",
-        f" * generator seed {case.seed}, profile {case.profile}",
-        f" * detail: {result.outcome.detail[:200]}",
+        f"/* fuzz counterexample: {failure.failure_class}",
+        f" * generator seed {failure.seed}, profile {failure.profile}",
+        f" * detail: {failure.detail[:200]}",
     ]
-    if note:
-        header.append(f" * {note}")
+    if failure.notes:
+        header.append(f" * {failure.notes}")
     header.append(" */")
-    path.write_text("\n".join(header) + "\n" + result.reduced)
+    path = Path(directory) / corpus_filename(
+        failure.failure_class, failure.seed, failure.profile
+    )
+    path.write_text(
+        "\n".join(header) + "\n" + (failure.reduced or failure.source)
+    )
     return path
 
 
@@ -319,9 +315,9 @@ class CorpusEntry:
     expect_seed: Optional[int] = None
 
 
-def load_corpus(directory: Optional[Path] = None) -> List[CorpusEntry]:
-    """Read every ``.c`` file in the corpus, splitting off the header."""
-    directory = Path(directory) if directory else CORPUS_DIR
+def load_corpus(directory: Path) -> List[CorpusEntry]:
+    """Read every ``.c`` file in ``directory``, splitting off the header."""
+    directory = Path(directory)
     entries: List[CorpusEntry] = []
     if not directory.is_dir():
         return entries

@@ -30,9 +30,9 @@ from repro.fuzz.generator import (
 )
 from repro.fuzz.oracle import OracleConfig, run_case
 from repro.fuzz.reduce import reduce_case, write_corpus_entry
-from repro.harness.engine import run_tasks
-from repro.harness.faults import RunJournal, is_failed, task_key
-from repro.obs import get_metrics, get_tracer
+from repro.harness.engine import check_settings, run_tasks
+from repro.harness.faults import RunJournal, is_failed
+from repro.obs import digest_of, get_metrics, get_tracer
 
 REPORT_SCHEMA = "slms-fuzz/1"
 
@@ -56,6 +56,7 @@ class FuzzSessionConfig:
             raise ValueError(
                 f"iterations must be >= 0, got {self.iterations}"
             )
+        check_settings(self.workers)
 
     def profiles_schedule(self) -> List[str]:
         """Profile of case *i* is ``schedule[i % len(schedule)]``."""
@@ -240,7 +241,7 @@ def run_fuzz_session(
                 tasks,
                 workers=config.workers,
                 journal=journal,
-                keys=[task_key(task) for task in tasks] if journal else None,
+                keys=[digest_of(task) for task in tasks] if journal else None,
             )
         finally:
             if journal is not None:
@@ -296,26 +297,12 @@ def run_fuzz_session(
 
 
 def save_failures(report: FuzzReport, directory: Path) -> List[Path]:
-    """Persist each failure (reduced if available) for later triage."""
+    """Write each failure as a corpus file
+    (:func:`~repro.fuzz.reduce.write_corpus_entry`) for later triage."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for failure in report.failures:
-        name = (
-            f"{failure.failure_class}_{failure.profile}_"
-            f"{failure.seed}.c"
-        )
-        body = failure.reduced or failure.source
-        header = (
-            f"/* fuzz counterexample: {failure.failure_class}\n"
-            f" * generator seed {failure.seed}, "
-            f"profile {failure.profile}\n"
-            f" * detail: {failure.detail[:200]}\n */\n"
-        )
-        path = directory / name
-        path.write_text(header + body)
-        written.append(path)
-    return written
+    return [write_corpus_entry(failure, directory)
+            for failure in report.failures]
 
 
 __all__ = [
@@ -325,5 +312,4 @@ __all__ = [
     "FuzzReport",
     "run_fuzz_session",
     "save_failures",
-    "write_corpus_entry",
 ]

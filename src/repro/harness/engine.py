@@ -65,10 +65,9 @@ from repro.harness.faults import (
     RunJournal,
     execute_guarded,
     is_failed,
-    task_key,
 )
 from repro.machines.model import MachineModel
-from repro.obs import get_metrics, get_tracer
+from repro.obs import digest_of, get_metrics, get_tracer
 from repro.workloads.base import Workload
 
 # ENGINE_VERSION lives in repro.harness.expcache (next to the cache
@@ -233,11 +232,26 @@ def _run_spec(task: _Task) -> ExperimentResult:
     )
 
 
+def check_settings(
+    workers: Optional[int] = None, task_timeout_s: Optional[float] = None
+) -> None:
+    """Refuse a worker count or task timeout no run could use.
+
+    Callers check before any cache lookup, task or journal write.
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    if task_timeout_s is not None and not task_timeout_s > 0:
+        raise ValueError(
+            "task timeout must be a positive number of seconds, "
+            f"got {task_timeout_s!r}"
+        )
+
+
 def _resolve_workers(requested: Optional[int], n_tasks: int) -> int:
+    check_settings(requested)
     if requested is None:
         requested = os.cpu_count() or 1
-    if requested < 1:
-        raise ValueError(f"workers must be >= 1, got {requested}")
     return max(1, min(requested, n_tasks))
 
 
@@ -287,7 +301,7 @@ def run_tasks(
 
     Pass a :class:`~repro.harness.faults.RunJournal` to checkpoint
     completed items (keyed by ``keys``, defaulting to each item's
-    :func:`~repro.harness.faults.task_key`); on a resume journal, items
+    :func:`~repro.obs.digest_of`); on a resume journal, items
     with an ``ok`` record are replayed without re-running, as their
     stored JSON.  A result is journaled as its ``to_dict()`` when it
     has one, else as itself, which must then be JSON-able.
@@ -306,7 +320,7 @@ def run_tasks(
     tracer = get_tracer()
     items = list(items)
     if journal is not None and keys is None:
-        keys = [task_key(item) for item in items]
+        keys = [digest_of(item) for item in items]
     labels = (
         list(labels) if labels else [f"task[{i}]" for i in range(len(items))]
     )
@@ -412,8 +426,9 @@ def run_experiments(
     uncached specs); ``cache_dir=None`` is the default store
     (``SLMS_CACHE_DIR``); ``task_timeout_s`` is the per-task wall-clock
     limit (None = unlimited; a limit forces pooled dispatch so a stuck
-    task can be contained, and one that is not positive raises
-    :class:`ValueError` before any lookup); ``journal_path``/``resume``
+    task can be contained); a worker count below 1 or a limit that is
+    not positive raises :class:`ValueError` before any lookup or
+    journal write; ``journal_path``/``resume``
     checkpoint completed specs to a
     :class:`~repro.harness.faults.RunJournal` and replay its ``ok``
     records; ``fault_plan=None`` reads ``SLMS_FAULTS``.
@@ -423,11 +438,7 @@ def run_experiments(
     that need every entry to be an ``ExperimentResult`` must check
     :func:`~repro.harness.faults.is_failed`.
     """
-    if task_timeout_s is not None and not task_timeout_s > 0:
-        raise ValueError(
-            "task timeout must be a positive number of seconds, "
-            f"got {task_timeout_s!r}"
-        )
+    check_settings(workers, task_timeout_s)
     t_start = time.perf_counter()
     stats = EngineStats(experiments=len(specs))
     cache = ExperimentCache(cache_dir) if use_cache else None

@@ -28,7 +28,11 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.backend.compiler import COMPILER_PRESETS, CompilerConfig, FinalCompiler
+from repro.backend.compiler import (
+    CompilerConfig,
+    FinalCompiler,
+    compiler_by_name,
+)
 from repro.core.pipeline import _collect_types, slms
 from repro.core.slms import SLMSOptions
 from repro.harness.expcache import (
@@ -317,7 +321,7 @@ def run_experiment(
     if isinstance(machine, str):
         machine = machine_by_name(machine)
     if isinstance(compiler, str):
-        compiler = COMPILER_PRESETS[compiler]
+        compiler = compiler_by_name(compiler)
 
     tracer = get_tracer()
     memo = _PhaseMemo(phase_cache)

@@ -867,25 +867,12 @@ def execute_guarded(
 # ---------------------------------------------------------------------------
 
 
-def task_key(payload: Any) -> str:
-    """Content hash of a JSON-able task payload.
-
-    The generic sibling of ``experiment_key`` — gives ``run_tasks``
-    callers (the fuzzer) content-addressed journal keys, so a resumed
-    session only re-runs work whose inputs actually changed.
-    """
-    canonical = json.dumps(
-        payload, sort_keys=True, separators=(",", ":"), default=str
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 class RunJournal:
     """Append-only checkpoint journal for interruptible runs.
 
     One self-contained JSON line per completed task, keyed by content
-    hash (the experiment cache key, or :func:`task_key` for generic
-    tasks).  Lines are flushed as they are written, so a SIGKILL loses
+    hash (the experiment cache key, or :func:`repro.obs.digest_of` of a
+    generic task).  Lines are flushed as they are written, so a SIGKILL loses
     at most the in-flight tasks; the loader tolerates a torn final
     line.  On resume, only ``status == "ok"`` records are reused —
     failed tasks are re-attempted, which is what lets a run that was
@@ -981,6 +968,5 @@ __all__ = [
     "execute_guarded",
     "infer_phase",
     "is_failed",
-    "task_key",
     "traceback_digest",
 ]

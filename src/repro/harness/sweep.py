@@ -18,8 +18,8 @@ from repro.core.slms import SLMSOptions
 from repro.harness.engine import EngineStats, ExperimentSpec, run_experiments
 from repro.harness.experiment import ExperimentResult
 from repro.harness.faults import FailedResult, FaultPlan, is_failed
-from repro.machines.presets import ALL_MACHINES, machine_by_name
-from repro.backend.compiler import COMPILER_PRESETS
+from repro.machines.presets import machine_by_name
+from repro.backend.compiler import compiler_by_name
 from repro.workloads import all_workloads, get_workload
 from repro.workloads.base import Workload
 
@@ -182,22 +182,20 @@ def run_sweep(
     """
     if workloads is None:
         workloads = all_workloads()
-    pairs = list(pairs or DEFAULT_PAIRS)
-    for machine, compiler in pairs:
-        if machine not in ALL_MACHINES:
-            raise ValueError(f"unknown machine {machine!r}")
-        if compiler not in COMPILER_PRESETS:
-            raise ValueError(f"unknown compiler preset {compiler!r}")
+    targets = [
+        (machine_by_name(machine), compiler_by_name(compiler))
+        for machine, compiler in pairs or DEFAULT_PAIRS
+    ]
     specs = [
         ExperimentSpec(
             workload=get_workload(item) if isinstance(item, str) else item,
-            machine=machine_by_name(machine),
-            compiler=COMPILER_PRESETS[compiler],
+            machine=machine,
+            compiler=compiler,
             options=options,
             verify=verify,
         )
         for item in workloads
-        for machine, compiler in pairs
+        for machine, compiler in targets
     ]
     results, stats = run_experiments(
         specs,

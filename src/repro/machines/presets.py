@@ -86,7 +86,8 @@ def machine_by_name(name: str) -> MachineModel:
         return ALL_MACHINES[name]()
     except KeyError:
         raise ValueError(
-            f"unknown machine {name!r}; choose from {sorted(ALL_MACHINES)}"
+            f"unknown machine {name!r}; choose from "
+            + ", ".join(sorted(ALL_MACHINES))
         ) from None
 
 

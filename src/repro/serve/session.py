@@ -1,12 +1,14 @@
 """The request→response API shared by the CLI and the server.
 
 A :class:`Session` turns every user-facing operation — transform a
-source file, advise on applicability, trace one experiment, run a sweep
-— into a plain ``params``-dict → JSON-payload call.  ``slms
-transform``/``advise``/``trace``/``sweep`` route their computation
-through the same methods the server dispatches to, so the one-shot CLI
-and the long-running service cannot drift: a request served over HTTP
-and the equivalent CLI invocation execute identical code and produce
+source file, advise on applicability, bench or trace one experiment,
+run a sweep — into a plain ``params``-dict → JSON-payload call.  ``slms
+transform``/``advise``/``bench``/``trace``/``sweep`` build the params a
+client would send, pass them through :meth:`Session.validate` and run
+the same methods the server dispatches to, so the one-shot CLI and the
+long-running service cannot drift: they accept and refuse the same
+requests with the same messages, and a request served over HTTP and
+the equivalent CLI invocation execute identical code and produce
 identical result payloads (the acceptance digest in docs/SERVING.md
 pins this byte-for-byte).
 
@@ -25,7 +27,9 @@ import hashlib
 import json
 import threading
 from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
+
+from repro.defaults import DEFAULT_COMPILER, DEFAULT_MACHINE
 
 
 class RequestError(ValueError):
@@ -115,8 +119,8 @@ class SessionConfig:
     only when both their params *and* their session context match.
     """
 
-    machine: str = "itanium2"
-    compiler: str = "gcc_O3"
+    machine: str = DEFAULT_MACHINE
+    compiler: str = DEFAULT_COMPILER
     use_cache: bool = True
     cache_dir: Optional[str] = None
     #: Engine processes per sweep (None = one per CPU).  The server
@@ -145,8 +149,9 @@ def sweep_digest(sweep) -> str:
     return hashlib.sha256(sweep.to_json().encode("utf-8")).hexdigest()
 
 
-def options_from_params(params: Dict[str, Any]):
-    """Build :class:`SLMSOptions` from a request's option keys.
+def options_from_params(params: Dict[str, Any], **fixed: Any):
+    """Build :class:`SLMSOptions` from a request's option keys (and the
+    caller's ``fixed`` settings, such as ``verify=True``).
 
     Bad values (unknown scheduler, negative budget, …) surface as
     :class:`RequestError` so the server maps them to a 400, not a 500.
@@ -155,7 +160,7 @@ def options_from_params(params: Dict[str, Any]):
 
     kwargs = {key: params[key] for key in OPTION_KEYS if key in params}
     try:
-        return SLMSOptions(**kwargs)
+        return SLMSOptions(**kwargs, **fixed)
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from None
 
@@ -178,7 +183,7 @@ def _workload(name: str):
         raise RequestError(str(exc)) from None
 
 
-def _sweep_workloads(params: Dict[str, Any]) -> list:
+def sweep_workloads(params: Dict[str, Any]) -> list:
     """A sweep request's workloads: its ``workloads``, then every
     member of each of its ``suites``."""
     from repro.workloads import by_suite
@@ -192,13 +197,27 @@ def _sweep_workloads(params: Dict[str, Any]) -> list:
     return workloads
 
 
+def _check_pairs(pairs) -> None:
+    """Each ``(machine, compiler)`` pair names existing presets."""
+    from repro.backend.compiler import compiler_by_name
+    from repro.machines.presets import machine_by_name
+
+    try:
+        for machine, compiler in pairs:
+            machine_by_name(machine)
+            compiler_by_name(compiler)
+    except ValueError as exc:
+        raise RequestError(str(exc)) from None
+
+
 @dataclass
 class Session:
     """Stateless request executor over the library pipeline.
 
-    Every method takes a plain params dict and returns a plain JSON
-    payload; the ``*_objects`` companions return the underlying library
-    objects for callers (the CLI) that need rich rendering.
+    Every op method takes a plain params dict and returns a plain JSON
+    payload; the ``*_result`` companions of ``bench``, ``trace`` and
+    ``sweep`` return the library objects behind it, for the CLI's
+    rendering and ledger records.
     """
 
     config: SessionConfig = field(default_factory=SessionConfig)
@@ -236,35 +255,20 @@ class Session:
         self._validate_values(op, params)
 
     def _validate_values(self, op: str, params: Dict[str, Any]) -> None:
-        from repro.backend.compiler import COMPILER_PRESETS
-        from repro.machines.presets import ALL_MACHINES
-
-        pairs: List[List[str]] = []
         if op in ("compile", "advise"):
             options_from_params(params)
         if op == "compile":
             _style(params)
         if op in ("trace", "bench"):
             _workload(params["workload"])
-            pairs = [[params.get("machine", self.config.machine),
-                      params.get("compiler", self.config.compiler)]]
+            _check_pairs([(params.get("machine", self.config.machine),
+                           params.get("compiler", self.config.compiler))])
         if op == "sweep":
-            _sweep_workloads(params)
-            pairs = params.get("pairs", [])
+            sweep_workloads(params)
+            _check_pairs(params.get("pairs", []))
             if params.get("workers", 1) < 1:
                 raise RequestError(
                     f"'workers' must be >= 1, got {params['workers']}"
-                )
-        for machine, compiler in pairs:
-            if machine not in ALL_MACHINES:
-                raise RequestError(
-                    f"unknown machine {machine!r}; choose from "
-                    + ", ".join(sorted(ALL_MACHINES))
-                )
-            if compiler not in COMPILER_PRESETS:
-                raise RequestError(
-                    f"unknown compiler preset {compiler!r}; choose from "
-                    + ", ".join(sorted(COMPILER_PRESETS))
                 )
 
     # -- dispatch ------------------------------------------------------
@@ -274,17 +278,11 @@ class Session:
         return getattr(self, op)(params)
 
     # -- compile (slms transform) --------------------------------------
-    def compile_outcome(self, source: str, options=None):
-        from repro import slms
-
-        return slms(source, options)
-
     def compile(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        from repro import to_source
+        from repro import slms, to_source
 
         style = _style(params)
-        options = options_from_params(params)
-        outcome = self.compile_outcome(params["source"], options)
+        outcome = slms(params["source"], options_from_params(params))
         return {
             "source": to_source(outcome.program, style=style),
             "applied": outcome.applied_count,
@@ -292,52 +290,34 @@ class Session:
         }
 
     # -- advise --------------------------------------------------------
-    def advise_objects(self, source: str, options=None):
+    def advise(self, params: Dict[str, Any]) -> Dict[str, Any]:
         from repro.core.advisor import advise_program
         from repro.lang.parser import parse_program
 
-        return advise_program(parse_program(source), options)
-
-    def advise(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        options = options_from_params(params)
-        advices = self.advise_objects(params["source"], options)
+        advices = advise_program(
+            parse_program(params["source"]), options_from_params(params)
+        )
         return {
             "schema": "slms-advise/1",
             "loops": [a.to_dict() for a in advices],
         }
 
     # -- bench (one untraced experiment) -------------------------------
-    def bench_result(
-        self,
-        workload: str,
-        machine: Optional[str] = None,
-        compiler: Optional[str] = None,
-    ):
+    def bench_result(self, params: Dict[str, Any]):
         from repro.harness.experiment import run_experiment
 
         return run_experiment(
-            _workload(workload),
-            machine or self.config.machine,
-            compiler or self.config.compiler,
+            _workload(params["workload"]),
+            params.get("machine", self.config.machine),
+            params.get("compiler", self.config.compiler),
             verify=self.config.verify,
         )
 
     def bench(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        res = self.bench_result(
-            params["workload"],
-            params.get("machine"),
-            params.get("compiler"),
-        )
-        return result_dict(res)
+        return result_dict(self.bench_result(params))
 
     # -- trace (one traced experiment) ---------------------------------
-    def trace_result(
-        self,
-        workload: str,
-        machine: Optional[str] = None,
-        compiler: Optional[str] = None,
-        verify: Optional[bool] = None,
-    ):
+    def trace_result(self, params: Dict[str, Any]):
         """(result, trace dict, metrics dict) for one traced run.
 
         Bypasses the engine cache exactly like ``slms trace``: a trace
@@ -346,26 +326,19 @@ class Session:
         from repro.harness.experiment import run_experiment
         from repro.obs import MetricsRegistry, Tracer, metrics_scope, tracing
 
-        wl = _workload(workload)
-        verify = self.config.verify if verify is None else bool(verify)
+        wl = _workload(params["workload"])
         with tracing(Tracer()) as tracer, \
                 metrics_scope(MetricsRegistry()) as reg:
             res = run_experiment(
                 wl,
-                machine or self.config.machine,
-                compiler or self.config.compiler,
-                verify=verify,
+                params.get("machine", self.config.machine),
+                params.get("compiler", self.config.compiler),
+                verify=params.get("verify", self.config.verify),
             )
         return res, tracer.to_dict(), reg.to_dict()
 
     def trace(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        res, trace, metrics = self.trace_result(
-            params["workload"],
-            params.get("machine"),
-            params.get("compiler"),
-            params.get("verify"),
-        )
-        return trace_payload(res, trace, metrics)
+        return trace_payload(*self.trace_result(params))
 
     # -- sweep ---------------------------------------------------------
     def sweep_result(
@@ -381,20 +354,11 @@ class Session:
         from repro.harness.faults import FaultPlan
         from repro.harness.sweep import run_sweep
 
-        workloads = _sweep_workloads(params)
-        pairs = params.get("pairs")
-        if pairs is not None:
-            pairs = [tuple(pair) for pair in pairs]
-        verify = params.get("verify")
         return run_sweep(
-            workloads or None,
-            pairs=pairs,
-            verify=self.config.verify if verify is None else bool(verify),
-            workers=(
-                params["workers"]
-                if params.get("workers") is not None
-                else self.config.workers
-            ),
+            sweep_workloads(params) or None,
+            pairs=params.get("pairs"),
+            verify=params.get("verify", self.config.verify),
+            workers=params.get("workers", self.config.workers),
             use_cache=self.config.use_cache,
             cache_dir=self.config.cache_dir,
             task_timeout_s=task_timeout_s,

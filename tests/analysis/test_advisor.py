@@ -150,14 +150,14 @@ class TestAdviceShape:
             line=3, verdict="apply", ii=2, stages=3, n_mis=5,
             expansion="mve", unroll=3, rec_mii=2, trip_count=100,
         )
-        text = render_advice(apply)
+        text = render_advice(apply.to_dict())
         assert "APPLY" in text and "II=2" in text and "unroll=3" in text
         decline = Advice(
             line=7, verdict="decline",
             reason="nested loop in body",
             suggestions=["distribute the inner loop"],
         )
-        text = render_advice(decline)
+        text = render_advice(decline.to_dict())
         assert "DECLINE" in text
         assert "nested loop in body" in text
         assert "distribute the inner loop" in text
@@ -167,7 +167,7 @@ class TestAdviceShape:
         anti back edge shares a row under the fixed placement."""
         adv = advise_program(get_workload("kernel1").full_program())[1]
         assert adv.applies and (adv.ii, adv.rec_mii) == (1, 2)
-        text = render_advice(adv)
+        text = render_advice(adv.to_dict())
         assert "recMII: 2" in text
         assert "floor" not in text and "can beat" not in text
 
@@ -178,3 +178,24 @@ class TestAdviceShape:
         assert payload["verdict"] == "decline"
         assert payload["reason"] == "x"
         assert payload["suggestions"] == ["s"]
+
+
+def test_suggested_flags_are_declared(capsys):
+    """Every ``--flag`` a suggestion names is one ``slms transform`` or
+    ``slms advise`` declares."""
+    import inspect
+    import re
+
+    import repro.core.advisor as advisor
+    from repro.cli import main
+
+    named = set(re.findall(r"--[a-z][a-z-]*", inspect.getsource(advisor)))
+    assert "--force" in named  # the scan sees the hints
+    declared = set()
+    for command in ("transform", "advise"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        declared |= set(
+            re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)
+        )
+    assert named <= declared, sorted(named - declared)

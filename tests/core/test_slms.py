@@ -253,6 +253,11 @@ class TestReporting:
     def test_options_validation(self):
         with pytest.raises(ValueError):
             SLMSOptions(expansion="bogus")
+        SLMSOptions(reduction_lanes=64)
+        for lanes in (65, -1):
+            with pytest.raises(ValueError,
+                               match=f"from 0 to 64, got {lanes}"):
+                SLMSOptions(reduction_lanes=lanes)
 
     def test_no_loop_raises(self):
         with pytest.raises(ValueError):

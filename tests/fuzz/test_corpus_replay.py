@@ -7,12 +7,15 @@ permanent regression test: a reintroduced bug fails here long before
 the nightly fuzz job sees it.
 """
 
+from pathlib import Path
+
 import pytest
 
 from repro.fuzz.oracle import check_source
-from repro.fuzz.reduce import CORPUS_DIR, load_corpus
+from repro.fuzz.reduce import load_corpus
 
-ENTRIES = load_corpus()
+CORPUS_DIR = Path(__file__).resolve().parent / "corpus"
+ENTRIES = load_corpus(CORPUS_DIR)
 
 
 def test_corpus_is_populated():

@@ -90,3 +90,53 @@ def test_zero_iterations_is_an_empty_report(capsys):
 
     assert main(["fuzz", "--iterations", "0"]) == 0
     assert "fuzz: 0 cases" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "flags,make_config,message",
+    [
+        (["--workers", "0"], lambda: FuzzSessionConfig(workers=0),
+         "workers must be >= 1, got 0"),
+        (["--compiler", "bogus"], lambda: OracleConfig(compiler="bogus"),
+         "unknown compiler preset 'bogus'"),
+        (["--machine", "vax"], lambda: OracleConfig(machine="vax"),
+         "unknown machine 'vax'"),
+    ],
+    ids=["workers-0", "compiler-bogus", "machine-vax"],
+)
+def test_bad_settings_are_refused_before_any_case_or_journal(
+    flags, make_config, message, tmp_path, monkeypatch, capsys
+):
+    import repro.fuzz.session as session
+    from repro.cli import main
+
+    def no_case(*args, **kwargs):
+        raise AssertionError("a case ran")
+
+    monkeypatch.setattr(session, "run_case", no_case)
+    with pytest.raises(ValueError, match=message):
+        make_config()
+    journal = tmp_path / "fuzz.jsonl"
+    journal.write_bytes(b'{"schema": "slms-journal/1"}\n')
+    before = journal.read_bytes()
+    assert main(["fuzz", "--iterations", "3", *flags,
+                 "--journal", str(journal)]) == 2
+    assert message in capsys.readouterr().err
+    assert journal.read_bytes() == before
+
+
+def test_journal_key_is_pinned(tmp_path):
+    """A fuzz task's journal key is the canonical digest of its task
+    payload; a changed key would make ``--resume`` re-run every case."""
+    import json
+
+    journal = tmp_path / "fuzz.jsonl"
+    run_fuzz_session(
+        FuzzSessionConfig(master_seed=42, iterations=2,
+                          reduce_failures=False),
+        journal_path=str(journal),
+    )
+    first = json.loads(journal.read_text().splitlines()[0])
+    assert first["key"] == (
+        "6312604dc5c3646bb08296e1deca2528c9742aa59d53737e65a6f605c3ed9232"
+    )

@@ -18,6 +18,7 @@ from repro.fuzz.reduce import (
     reduce_case,
     write_corpus_entry,
 )
+from repro.fuzz.session import FuzzFailure
 
 NOISY = """\
 float A[16];
@@ -100,14 +101,22 @@ class TestCorpusPersistence:
     def test_write_then_load_round_trip(self, synthetic, tmp_path):
         case, outcome = make_failing_case()
         result = reduce_case(case, outcome)
-        path = write_corpus_entry(
-            result, case, directory=tmp_path, note="synthetic repro"
+        failure = FuzzFailure(
+            seed=case.seed, profile=case.profile,
+            failure_class="backend-differential", detail=outcome.detail,
+            source=case.source, reduced=result.reduced,
+            notes="synthetic repro",
+        )
+        path = write_corpus_entry(failure, tmp_path)
+        assert path.name == corpus_filename(
+            "backend-differential", case.seed, case.profile
         )
         entries = load_corpus(tmp_path)
         assert [e.path for e in entries] == [path]
         entry = entries[0]
         assert entry.expect_seed == case.seed
         assert "synthetic repro" in entry.header
+        assert "detail: synthetic: writes B" in entry.header
         assert entry.source == result.reduced
         # The body must be clean source again: no comment residue.
         assert not entry.source.startswith("/*")

@@ -69,6 +69,15 @@ class TestParallelDeterminism:
         with pytest.raises(ValueError):
             run_experiments(_specs(("daxpy",)), workers=0, use_cache=False)
 
+    def test_bad_worker_count_leaves_the_journal_alone(self, tmp_path):
+        journal = tmp_path / "sweep.jsonl"
+        journal.write_bytes(b'{"schema": "slms-journal/1"}\n')
+        before = journal.read_bytes()
+        with pytest.raises(ValueError, match="workers must be >= 1, got 0"):
+            run_sweep(["daxpy"], pairs=[("itanium2", "gcc_O3")], workers=0,
+                      use_cache=False, journal_path=str(journal))
+        assert journal.read_bytes() == before
+
 
 class TestCache:
     def test_warm_run_hits_and_matches(self, tmp_path):

@@ -46,10 +46,10 @@ from repro.harness.faults import (
     classify_exception,
     execute_guarded,
     is_failed,
-    task_key,
     traceback_digest,
 )
 from repro.harness.sweep import run_sweep
+from repro.obs import digest_of
 
 from tests.harness.test_engine import _result_payload, _specs
 
@@ -539,8 +539,9 @@ class TestRunJournal:
         assert RunJournal(path, resume=True).completed_ok("k1") is None
 
     def test_task_key_is_canonical(self):
-        assert task_key({"b": 1, "a": 2}) == task_key({"a": 2, "b": 1})
-        assert task_key({"a": 1}) != task_key({"a": 2})
+        # A generic task's journal key is its canonical digest.
+        assert digest_of({"b": 1, "a": 2}) == digest_of({"a": 2, "b": 1})
+        assert digest_of({"a": 1}) != digest_of({"a": 2})
 
 
 class TestRunTasksGuarded:

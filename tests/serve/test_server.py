@@ -80,6 +80,10 @@ class TestProtocol:
                          id="force-str"),
             pytest.param("compile", {"source": SOURCE, "reduction_lanes": "x"},
                          id="lanes-str"),
+            pytest.param("compile", {"source": SOURCE, "reduction_lanes": 65},
+                         id="lanes-65"),
+            pytest.param("compile", {"source": SOURCE, "reduction_lanes": -1},
+                         id="lanes-negative"),
             pytest.param("compile", {"source": SOURCE, "sched_budget": "10"},
                          id="budget-str"),
             pytest.param("compile", {"source": SOURCE, "machine": ["x"]},

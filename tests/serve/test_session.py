@@ -150,3 +150,89 @@ class TestSweep:
             {"workloads": ["daxpy"], "pairs": [["itanium2", "gcc_O3"]]}
         )
         assert not sweep.failures
+
+
+#: The same malformed request as the server gets it (op, params) and as
+#: the matching ``slms`` command gets it ("{file}" holds SOURCE).
+PARITY = [
+    ("bench", {"workload": "daxpy", "compiler": "bogus"},
+     ["bench", "daxpy", "--compiler", "bogus"]),
+    ("trace", {"workload": "daxpy", "compiler": "bogus"},
+     ["trace", "daxpy", "--compiler", "bogus"]),
+    ("sweep", {"workloads": ["daxpy"], "pairs": [["itanium2", "bogus"]]},
+     ["sweep", "daxpy", "--pairs", "itanium2/bogus"]),
+    ("bench", {"workload": "daxpy", "machine": "vax"},
+     ["bench", "daxpy", "--machine", "vax"]),
+    ("trace", {"workload": "daxpy", "machine": "vax"},
+     ["trace", "daxpy", "--machine", "vax"]),
+    ("sweep", {"workloads": ["daxpy"], "pairs": [["vax", "gcc_O3"]]},
+     ["sweep", "daxpy", "--pairs", "vax/gcc_O3"]),
+    ("compile", {"source": SOURCE, "machine": "vax"},
+     ["transform", "{file}", "--machine", "vax"]),
+    ("advise", {"source": SOURCE, "machine": "vax"},
+     ["advise", "{file}", "--machine", "vax"]),
+    ("bench", {"workload": "nope"}, ["bench", "nope"]),
+    ("trace", {"workload": "nope"}, ["trace", "nope"]),
+    ("sweep", {"workloads": ["nope"]}, ["sweep", "nope"]),
+    ("sweep", {"suites": ["specfp"]}, ["sweep", "--suite", "specfp"]),
+    ("sweep", {"workloads": ["daxpy"], "workers": 0},
+     ["sweep", "daxpy", "--workers", "0"]),
+    ("compile", {"source": SOURCE, "reduction_lanes": 65},
+     ["transform", "{file}", "--reduction-lanes", "65"]),
+    ("compile", {"source": SOURCE, "reduction_lanes": -1},
+     ["transform", "{file}", "--reduction-lanes", "-1"]),
+    ("compile", {"source": SOURCE, "scheduler": "llvm"},
+     ["transform", "{file}", "--scheduler", "llvm"]),
+    ("advise", {"source": SOURCE, "scheduler": "llvm"},
+     ["advise", "{file}", "--scheduler", "llvm"]),
+    ("compile", {"source": SOURCE, "expansion": "bogus"},
+     ["transform", "{file}", "--expansion", "bogus"]),
+]
+
+
+class TestCliParity:
+    """``slms transform/advise/bench/trace/sweep`` refuse exactly what
+    ``Session.validate`` refuses, with its message, before any work."""
+
+    @pytest.fixture()
+    def no_work(self, monkeypatch):
+        import repro
+        import repro.core.advisor as advisor
+        import repro.harness.engine as engine
+        import repro.harness.experiment as experiment
+
+        def boom(*args, **kwargs):
+            raise AssertionError("work ran before validation")
+
+        monkeypatch.setattr(experiment, "run_experiment", boom)
+        monkeypatch.setattr(engine, "run_experiment", boom)
+        monkeypatch.setattr(repro, "slms", boom)
+        monkeypatch.setattr(advisor, "advise_program", boom)
+
+    @pytest.mark.parametrize(
+        "op,params,argv", PARITY, ids=[" ".join(case[2]) for case in PARITY]
+    )
+    def test_cli_refuses_what_the_server_refuses(
+        self, op, params, argv, tmp_path, monkeypatch, capsys, no_work
+    ):
+        from repro.cli import main
+
+        with pytest.raises(RequestError) as refused:
+            Session().validate(op, params)
+
+        source = tmp_path / "loop.c"
+        source.write_text(SOURCE)
+        argv = [str(source) if arg == "{file}" else arg for arg in argv]
+        if op == "sweep":
+            monkeypatch.setenv("SLMS_CACHE_DIR", str(tmp_path / "cache"))
+            journal = tmp_path / "sweep.jsonl"
+            journal.write_bytes(b'{"schema": "slms-journal/1"}\n')
+            before = journal.read_bytes()
+            argv += ["--journal", str(journal),
+                     "--json", str(tmp_path / "out.json")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {refused.value}\n"
+        if op == "sweep":
+            assert journal.read_bytes() == before
+            assert not (tmp_path / "out.json").exists()
+            assert not (tmp_path / "cache").exists()
