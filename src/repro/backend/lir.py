@@ -119,6 +119,21 @@ class Instr:
     def is_branch(self) -> bool:
         return self.op in ("br", "brf", "brt")
 
+    def encoding(self) -> str:
+        """Every field, as the text the content keys hash.
+
+        The one per-instruction encoding behind both
+        ``module_fingerprint`` (the simulate tier's key) and the IMS
+        memo's body key, so the two cannot drift apart.  ``repr`` keeps
+        int and float immediates distinct (``1`` vs ``1.0``).
+        """
+        iv = (self.iv.iv, self.iv.coeff, self.iv.offset) if self.iv else None
+        return (
+            f"\x1e{self.op}\x1f{self.dst}\x1f{list(self.srcs)}\x1f{self.imm!r}"
+            f"\x1f{self.array}\x1f{self.disp}\x1f{self.label}\x1f{self.name}"
+            f"\x1f{iv}"
+        )
+
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         parts = [self.op]
         if self.dst:

@@ -234,9 +234,10 @@ def module_fingerprint(module: Module) -> str:
     """Deterministic content hash of a compiled LIR module.
 
     Covers everything execution and accounting read: every instruction
-    field, the schedule presence/length and ``ims_ii`` per block (cycle
-    cost), array/scalar metadata and block order.  ``repr`` keeps int
-    and float immediates distinct (``1`` vs ``1.0``).
+    field (:meth:`~repro.backend.lir.Instr.encoding`, the encoding the
+    IMS memo keys bodies on), the schedule presence/length and
+    ``ims_ii`` per block (cycle cost), array/scalar metadata and block
+    order.
 
     Streams ``repr`` fragments straight into the hasher instead of
     building a JSON document; per-field reprs of primitives are
@@ -254,13 +255,8 @@ def module_fingerprint(module: Module) -> str:
             f"\x1dB{name}\x1f{block.schedule is not None}"
             f"\x1f{block.schedule_length}\x1f{block.ims_ii}".encode()
         )
-        for i in block.instrs:
-            iv = (i.iv.iv, i.iv.coeff, i.iv.offset) if i.iv else None
-            h.update(
-                f"\x1e{i.op}\x1f{i.dst}\x1f{list(i.srcs)}\x1f{i.imm!r}"
-                f"\x1f{i.array}\x1f{i.disp}\x1f{i.label}\x1f{i.name}"
-                f"\x1f{iv}".encode()
-            )
+        for instr in block.instrs:
+            h.update(instr.encoding().encode())
     h.update(repr(sorted(module.arrays.items())).encode())
     h.update(repr(sorted(module.scalar_regs.items())).encode())
     h.update(repr(sorted(module.scalar_types.items())).encode())

@@ -5,7 +5,11 @@ Methodology (mirrors the paper's §9 protocol):
 * SLMS transforms **only the kernel** — the setup code compiles
   identically in both variants, so kernel cost is obtained exactly as
   ``cycles(setup + kernel) − cycles(setup)`` (the simulator is
-  deterministic);
+  deterministic).  The setup program is therefore compiled and
+  simulated once per experiment, and that one run prices both
+  variants: each experiment compiles and simulates three programs
+  (setup, base, SLMS), all inside one ``phase.compile`` and one
+  ``phase.simulate`` span;
 * both variants use the *same* final-compiler preset and machine, as
   the paper does ("both SLMSed and non SLMSed loops are compiled with
   the same compilation flags");
@@ -26,9 +30,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.backend.compiler import (
+    CompiledProgram,
     CompilerConfig,
     FinalCompiler,
     compiler_by_name,
@@ -50,7 +55,7 @@ from repro.lang.printer import to_source
 from repro.machines.model import MachineModel
 from repro.machines.presets import machine_by_name
 from repro.obs import get_tracer
-from repro.sim.executor import ExecutionMetrics, execute
+from repro.sim.executor import ExecutionMetrics, ExecutionResult, execute
 from repro.sim.interp import state_equal
 from repro.sim.interp_compile import run_program_fast
 from repro.workloads.base import Workload
@@ -249,15 +254,18 @@ class _PhaseMemo:
         return value
 
 
-def _kernel_cycles(
-    setup_prog: Program,
-    full_prog: Program,
+def _compile_and_simulate(
+    programs: Sequence[Tuple[Optional[str], Program]],
     machine: MachineModel,
     config: CompilerConfig,
     times: Dict[str, float],
     memo: _PhaseMemo,
-    sources: Tuple[Optional[str], Optional[str]],
-) -> tuple:
+) -> List[Tuple[CompiledProgram, ExecutionResult]]:
+    """Compile every ``(source, program)``, then simulate each result.
+
+    ``source`` is the program's text, the compile tier's key (``None``
+    without a cache).
+    """
     tracer = get_tracer()
 
     def compiled(source, prog):
@@ -274,21 +282,25 @@ def _kernel_cycles(
             lambda: execute(module, machine),
         )
 
-    setup_src, full_src = sources
     t0 = time.perf_counter()
     with tracer.span("phase.compile"):
-        compiled_setup = compiled(setup_src, setup_prog)
-        compiled_full = compiled(full_src, full_prog)
+        builds = [compiled(source, prog) for source, prog in programs]
     t1 = time.perf_counter()
     with tracer.span("phase.simulate"):
-        setup_run = simulated(compiled_setup.module)
-        full_run = simulated(compiled_full.module)
+        runs = [simulated(build.module) for build in builds]
     t2 = time.perf_counter()
-    times["compile"] += t1 - t0
-    times["simulate"] += t2 - t1
-    kernel_cycles = full_run.metrics.cycles - setup_run.metrics.cycles
-    kernel_energy = full_run.metrics.energy_pj - setup_run.metrics.energy_pj
-    return compiled_full, full_run, max(1, kernel_cycles), max(1.0, kernel_energy)
+    times["compile"] = t1 - t0
+    times["simulate"] = t2 - t1
+    return list(zip(builds, runs))
+
+
+def _kernel_cost(
+    full_run: ExecutionResult, setup_run: ExecutionResult
+) -> Tuple[int, float]:
+    """§9: the kernel's cycles and energy, ``full − setup`` (at least 1)."""
+    cycles = full_run.metrics.cycles - setup_run.metrics.cycles
+    energy = full_run.metrics.energy_pj - setup_run.metrics.energy_pj
+    return max(1, cycles), max(1.0, energy)
 
 
 def transform_kernel(
@@ -371,14 +383,15 @@ def run_experiment(
             setup_src = to_source(setup_prog)
             base_src = to_source(base_prog)
             slms_src = to_source(slms_prog)
-        compiled_base, base_run, base_cycles, base_energy = _kernel_cycles(
-            setup_prog, base_prog, machine, compiler, times,
-            memo=memo, sources=(setup_src, base_src),
+        # One setup run prices both variants' kernels.
+        runs = _compile_and_simulate(
+            [(setup_src, setup_prog), (base_src, base_prog),
+             (slms_src, slms_prog)],
+            machine, compiler, times, memo,
         )
-        compiled_slms, slms_run, slms_cycles, slms_energy = _kernel_cycles(
-            setup_prog, slms_prog, machine, compiler, times,
-            memo=memo, sources=(setup_src, slms_src),
-        )
+        (_, setup_run), (compiled_base, base_run), (compiled_slms, slms_run) = runs
+        base_cycles, base_energy = _kernel_cost(base_run, setup_run)
+        slms_cycles, slms_energy = _kernel_cost(slms_run, setup_run)
 
         new_scalars = [n for s in summaries for n in s.new_scalars]
 

@@ -221,7 +221,7 @@ def _phase_digest(session: SessionConfig, workers: Optional[int]):
     with _server(config) as server:
         client = ServeClient(server.url, timeout=None)
         result = client.call(
-            "sweep", {"workers": workers} if workers else {}
+            "sweep", {} if workers is None else {"workers": workers}
         )
     return {
         "experiments": result["experiments"],
@@ -240,7 +240,18 @@ def run_serve_bench(
     cache_dir: Optional[str] = None,
     quiet: bool = False,
 ) -> Dict[str, Any]:
-    """Run every phase; returns (and optionally writes) the record."""
+    """Run every phase; returns (and optionally writes) the record.
+
+    Counts below 1 are refused with ``ValueError`` (naming the CLI
+    flag) before any server starts or any record is written.
+    """
+    for flag, count in (
+        ("--clients", clients),
+        ("--requests", per_client),
+        ("--sweep-workers", sweep_workers),
+    ):
+        if count is not None and count < 1:
+            raise ValueError(f"{flag} must be >= 1, got {count}")
 
     def note(message: str) -> None:
         if not quiet:

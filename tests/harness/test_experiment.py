@@ -2,13 +2,16 @@
 
 import pytest
 
+from repro.backend.compiler import FinalCompiler, compile_and_run
 from repro.core.slms import SLMSOptions
+from repro.harness import experiment
 from repro.harness.expcache import PhaseCache
 from repro.harness.experiment import run_experiment, transform_kernel
 from repro.harness.faults import TaskFailedError
 from repro.harness.figures import FIGURES, run_figure
 from repro.harness.report import render_figure
 from repro.machines import itanium2, pentium
+from repro.sim.executor import execute
 from repro.sim.interp import run_program, state_equal
 from repro.workloads import get_workload
 from repro.workloads.base import Workload
@@ -166,3 +169,46 @@ class TestFigures:
         text = render_figure(result)
         assert "fig14" in text
         assert "geomean" in text
+
+
+class TestOneSetupRun:
+    """§9: one compile and one simulation of the setup program price
+    both variants' kernels."""
+
+    def test_uncached_experiment_compiles_and_runs_three_programs(
+        self, monkeypatch
+    ):
+        compiled, executed = [], []
+        compile_program = FinalCompiler.compile
+
+        def counting_compile(self, program):
+            compiled.append(program)
+            return compile_program(self, program)
+
+        def counting_execute(module, machine, **kwargs):
+            executed.append(module)
+            return execute(module, machine, **kwargs)
+
+        monkeypatch.setattr(FinalCompiler, "compile", counting_compile)
+        monkeypatch.setattr(experiment, "execute", counting_execute)
+        run_experiment(FAST, itanium2(), "icc_O3")
+        assert (len(compiled), len(executed)) == (3, 3)
+
+    def test_cold_cached_experiment_looks_up_each_program_once(
+        self, tmp_path
+    ):
+        result = run_experiment(
+            FAST, itanium2(), "icc_O3", phase_cache=PhaseCache(tmp_path)
+        )
+        assert result.cache_tiers["compile"] == {"hits": 0, "misses": 3}
+        assert result.cache_tiers["simulate"] == {"hits": 0, "misses": 3}
+
+    def test_kernel_cost_is_full_minus_setup(self):
+        machine = itanium2()
+        result = run_experiment(FAST, machine, "icc_O3")
+        _, setup = compile_and_run(FAST.setup_program(), machine, "icc_O3")
+        _, full = compile_and_run(FAST.full_program(), machine, "icc_O3")
+        assert result.base_cycles == full.metrics.cycles - setup.metrics.cycles
+        assert result.base_energy == (
+            full.metrics.energy_pj - setup.metrics.energy_pj
+        )

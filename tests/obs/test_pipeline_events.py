@@ -137,4 +137,4 @@ class TestTraceCommand:
         data = json.loads(capsys.readouterr().out)
         assert data["workload"] == "daxpy"
         assert validate_trace(data["trace"]) == []
-        assert data["metrics"]["counters"]["sim.runs"] == 4
+        assert data["metrics"]["counters"]["sim.runs"] == 3

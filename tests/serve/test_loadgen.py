@@ -1,5 +1,10 @@
 """serve-bench load harness: record shape and phase guarantees."""
 
+import pytest
+
+from repro.cli import main
+from repro.obs import RunLedger
+from repro.serve import loadgen
 from repro.serve.loadgen import BENCH_SCHEMA, run_serve_bench
 
 
@@ -51,3 +56,55 @@ class TestServeBench:
         )
         assert "chaos_phase" not in record
         assert not (tmp_path / "BENCH_serve.json").exists()
+
+
+class TestCountChecks:
+    """Counts below 1 are usage errors, refused before any server."""
+
+    @pytest.fixture()
+    def servers(self, monkeypatch):
+        """Servers the harness tried to start (none may start)."""
+        started = []
+
+        def refuse(config):
+            started.append(config)
+            raise RuntimeError("a server started")
+
+        monkeypatch.setattr(loadgen, "SlmsServer", refuse)
+        return started
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (["--requests", "0"], "--requests"),
+            (["--clients", "0"], "--clients"),
+            (["--clients", "-2"], "--clients"),
+            (["--full", "--sweep-workers", "0"], "--sweep-workers"),
+            (["--full", "--sweep-workers", "-1"], "--sweep-workers"),
+        ],
+        ids=["requests=0", "clients=0", "clients=-2", "sweep-workers=0",
+             "sweep-workers=-1"],
+    )
+    def test_cli_refuses_before_any_server(
+        self, flags, named, servers, tmp_path, capsys
+    ):
+        out = tmp_path / "BENCH_serve.json"
+        assert main(
+            ["serve-bench", "--no-chaos", "--out", str(out), *flags]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {named} must be >= 1, got ")
+        assert servers == []
+        assert not out.exists()
+        assert RunLedger().entries() == []
+
+    @pytest.mark.parametrize(
+        "counts, named",
+        [({"clients": 0}, "--clients"), ({"per_client": 0}, "--requests"),
+         ({"sweep_workers": 0}, "--sweep-workers")],
+        ids=["clients", "per_client", "sweep_workers"],
+    )
+    def test_library_raises_value_error(self, counts, named, servers):
+        with pytest.raises(ValueError, match=f"^{named} must be >= 1, got 0"):
+            run_serve_bench(out_path=None, quiet=True, **counts)
+        assert servers == []
